@@ -112,23 +112,10 @@ sim::AccessStatus AdaptiveNtcMemory::write_word(std::uint32_t word_index,
 
 sim::AccessStatus AdaptiveNtcMemory::read_burst(
     std::uint32_t word_index, std::span<std::uint32_t> data) {
-  if (!sim::burst_native_enabled())
+  // Recovery acts between words, so with it on the read stays per word.
+  if (!sim::burst_native_enabled() || config_.recovery.enabled)
     return MemoryPort::read_burst(word_index, data);
-  if (!config_.recovery.enabled) return memory_.read_burst(word_index, data);
-  sim::AccessStatus status = sim::AccessStatus::Ok;
-  const std::uint32_t n = static_cast<std::uint32_t>(data.size());
-  std::uint32_t off = 0;
-  while (off < n) {
-    std::uint32_t bad = 0;
-    status = sim::worse_status(
-        status, memory_.read_burst_tracked(word_index + off, data.subspan(off),
-                                           bad));
-    if (bad == n - off) break;
-    status = sim::worse_status(
-        status, recover_read(word_index + off + bad, data[off + bad]));
-    off += bad + 1;
-  }
-  return status;
+  return memory_.read_burst(word_index, data);
 }
 
 sim::AccessStatus AdaptiveNtcMemory::write_burst(

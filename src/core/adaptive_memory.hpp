@@ -61,11 +61,8 @@ class AdaptiveNtcMemory final : public sim::MemoryPort {
                                std::uint32_t data) override;
   std::uint32_t word_count() const override { return memory_.word_count(); }
 
-  /// Native bursts: the read runs as tracked bursts through the
-  /// NtcMemory stack, dropping into the per-word recovery escalation
-  /// exactly at the first uncorrectable word and resuming the burst
-  /// after it — the same access/RNG sequence as the word-at-a-time
-  /// fallback.
+  /// Native bursts through the NtcMemory stack.  While recovery is on,
+  /// reads run per word, so the escalation enters at the failing word.
   sim::AccessStatus read_burst(std::uint32_t word_index,
                                std::span<std::uint32_t> data) override;
   sim::AccessStatus write_burst(std::uint32_t word_index,

@@ -137,62 +137,6 @@ sim::AccessStatus NtcMemory::write_burst(std::uint32_t word_index,
   return status;
 }
 
-sim::AccessStatus NtcMemory::read_burst_tracked(std::uint32_t word_index,
-                                                std::span<std::uint32_t> data,
-                                                std::uint32_t& first_bad) {
-  if (!sim::burst_native_enabled())
-    return MemoryPort::read_burst_tracked(word_index, data, first_bad);
-  sim::AccessStatus status = sim::AccessStatus::Ok;
-  const std::uint64_t interval = config_.scrub_interval_accesses;
-  const std::uint32_t n = static_cast<std::uint32_t>(data.size());
-  std::uint32_t off = 0;
-  std::uint32_t bad = 0;
-  while (off < n) {
-    const std::uint64_t until = interval - accesses_since_scrub_;
-    if (interval != 0 && until <= n - off) {
-      const std::uint32_t plain = static_cast<std::uint32_t>(until - 1);
-      if (plain != 0) {
-        status = sim::worse_status(
-            status, inner_->read_burst_tracked(word_index + off,
-                                               data.subspan(off, plain), bad));
-        if (bad < plain) {
-          // Words [0, bad] consumed an access each; the counter stays
-          // short of the interval (bad + 1 <= plain < until).
-          accesses_since_scrub_ += bad + 1;
-          first_bad = off + bad;
-          return status;
-        }
-      }
-      accesses_since_scrub_ = 0;
-      inner_->scrub();
-      ++scrubs_;
-      status = sim::worse_status(
-          status, inner_->read_burst_tracked(word_index + off + plain,
-                                             data.subspan(off + plain, 1),
-                                             bad));
-      if (bad < 1) {
-        first_bad = off + plain;
-        return status;
-      }
-      off += plain + 1;
-    } else {
-      const std::uint32_t m = n - off;
-      status = sim::worse_status(
-          status, inner_->read_burst_tracked(word_index + off,
-                                             data.subspan(off, m), bad));
-      if (bad < m) {
-        accesses_since_scrub_ += bad + 1;
-        first_bad = off + bad;
-        return status;
-      }
-      accesses_since_scrub_ += m;
-      off += m;
-    }
-  }
-  first_bad = n;
-  return status;
-}
-
 void NtcMemory::maybe_scrub() {
   ++accesses_since_scrub_;
   if (config_.scrub_interval_accesses == 0) return;

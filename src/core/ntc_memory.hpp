@@ -47,9 +47,6 @@ class NtcMemory final : public sim::MemoryPort {
                                std::span<std::uint32_t> data) override;
   sim::AccessStatus write_burst(std::uint32_t word_index,
                                 std::span<const std::uint32_t> data) override;
-  sim::AccessStatus read_burst_tracked(std::uint32_t word_index,
-                                       std::span<std::uint32_t> data,
-                                       std::uint32_t& first_bad) override;
 
   /// Run-time voltage knob (the controller drives this).
   void set_vdd(Volt vdd);

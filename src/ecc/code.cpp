@@ -46,7 +46,6 @@ void BlockCode::decode_words(const std::uint64_t* raw, std::size_t count,
                              std::uint32_t* data,
                              BatchDecodeSummary& summary) const {
   summary = BatchDecodeSummary{};
-  summary.first_uncorrectable = count;
   DecodeResult results[kWordChunk];
   for (std::size_t off = 0; off < count; off += kWordChunk) {
     const std::size_t m = std::min(count - off, kWordChunk);
@@ -62,8 +61,6 @@ void BlockCode::decode_words(const std::uint64_t* raw, std::size_t count,
           summary.corrected_bits += static_cast<std::uint64_t>(r.corrected_bits);
           break;
         case DecodeStatus::DetectedUncorrectable:
-          if (summary.uncorrectable_words == 0)
-            summary.first_uncorrectable = off + i;
           ++summary.uncorrectable_words;
           break;
       }

@@ -26,14 +26,11 @@ struct DecodeResult {
 /// Aggregate outcome of a decode_words() call.  The counters sum the
 /// per-word DecodeResult fields, so folding them into running memory
 /// statistics is bit-identical to folding each word in turn (addition
-/// is order-insensitive).  `first_uncorrectable` is the index of the
-/// first word whose status was DetectedUncorrectable, or `count` when
-/// every word decoded — the burst rollback decision point.
+/// is order-insensitive).
 struct BatchDecodeSummary {
   std::uint64_t corrected_words = 0;
   std::uint64_t corrected_bits = 0;
   std::uint64_t uncorrectable_words = 0;
-  std::size_t first_uncorrectable = 0;
 };
 
 /// A systematic binary block code protecting up to 64 data bits.

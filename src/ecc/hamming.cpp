@@ -341,7 +341,6 @@ void HammingSecded::decode_words(const std::uint64_t* raw, std::size_t count,
     return;
   }
   summary = BatchDecodeSummary{};
-  summary.first_uncorrectable = count;
   // Same fused lane as decode_batch, but through the packed table (one
   // lookup per code byte yields syndrome and gathered data together)
   // with the data word and the aggregate counters written directly — no
@@ -363,7 +362,6 @@ void HammingSecded::decode_words(const std::uint64_t* raw, std::size_t count,
       ++summary.corrected_words;
       ++summary.corrected_bits;
     } else {
-      if (summary.uncorrectable_words == 0) summary.first_uncorrectable = i;
       ++summary.uncorrectable_words;
     }
     data[i] = static_cast<std::uint32_t>(d);
@@ -382,8 +380,8 @@ void HammingSecded::decode_words(const std::uint64_t* raw, std::size_t count,
     if (simd_ok_ && simd_avx2_active()) {
       // Vector clean spans; any 8-word block with a suspect lane (and
       // the sub-block tail) re-runs through the scalar classifier in
-      // index order, so counters and first_uncorrectable match the
-      // scalar loop exactly.
+      // index order, so counters and corrections match the scalar loop
+      // exactly.
       std::size_t i = 0;
       while (i < count) {
         i += hamming39_decode_clean_span(simd_, raw + i, count - i, data + i);

@@ -234,7 +234,6 @@ void HsiaoSecded::decode_words(const std::uint64_t* raw, std::size_t count,
     return;
   }
   summary = BatchDecodeSummary{};
-  summary.first_uncorrectable = count;
   // Same lane as decode_batch with the data word and aggregate counters
   // written directly; a SECDED correction is always one bit.
   const auto decode_one = [&](std::size_t i) {
@@ -249,7 +248,6 @@ void HsiaoSecded::decode_words(const std::uint64_t* raw, std::size_t count,
         ++summary.corrected_words;
         ++summary.corrected_bits;
       } else {
-        if (summary.uncorrectable_words == 0) summary.first_uncorrectable = i;
         ++summary.uncorrectable_words;
       }
     }
@@ -258,8 +256,7 @@ void HsiaoSecded::decode_words(const std::uint64_t* raw, std::size_t count,
   if (simd_ok_ && simd_avx2_active()) {
     // Vector clean spans; any 8-word block with a suspect lane (and the
     // sub-block tail) re-runs through the scalar classifier in index
-    // order, so counters and first_uncorrectable match the scalar loop
-    // exactly.
+    // order, so counters and corrections match the scalar loop exactly.
     std::size_t i = 0;
     while (i < count) {
       i += hsiao39_decode_clean_span(simd_, raw + i, count - i, data + i);

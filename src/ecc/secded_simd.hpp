@@ -14,9 +14,8 @@
 // all-clean fast path (overwhelmingly common on memory reads) and
 // *stops* at the first 8-word block containing any suspect lane, which
 // the caller re-runs through the scalar per-word classifier — so
-// counters, first_uncorrectable ordering, and corrections are the
-// scalar path's by construction, and the scalar twin remains the oracle
-// for the whole path.
+// counters and corrections are the scalar path's by construction, and
+// the scalar twin remains the oracle for the whole path.
 #pragma once
 
 #include <cstddef>

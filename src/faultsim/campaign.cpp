@@ -80,16 +80,6 @@ std::vector<std::vector<FaultEvent>> split_spm_events(
   return out;
 }
 
-const char* short_scheme_label(mitigation::SchemeKind kind) {
-  switch (kind) {
-    case mitigation::SchemeKind::NoMitigation: return "none";
-    case mitigation::SchemeKind::Secded: return "secded";
-    case mitigation::SchemeKind::Ocean: return "ocean";
-    case mitigation::SchemeKind::Custom: return "custom";
-  }
-  return "?";
-}
-
 /// Plain array standing in for the reference platform's scratchpad: at
 /// NoMitigation with injection off the memory path is bit-transparent
 /// storage, so the golden pass needs no platform at all.
@@ -145,7 +135,7 @@ TileMixSpec normalize_tile_mix(TileMixSpec mix) {
                  std::to_string(mix.banks) + ":";
       for (std::size_t t = 0; t < mix.schemes.size(); ++t) {
         if (t > 0) mix.name += '+';
-        mix.name += short_scheme_label(mix.schemes[t]);
+        mix.name += mitigation::to_string(mix.schemes[t]);
       }
     }
   }

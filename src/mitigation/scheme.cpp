@@ -1,8 +1,24 @@
 #include "mitigation/scheme.hpp"
 
+#include <ostream>
+
 #include "common/assert.hpp"
 
 namespace ntc::mitigation {
+
+const char* to_string(SchemeKind kind) {
+  switch (kind) {
+    case SchemeKind::NoMitigation: return "none";
+    case SchemeKind::Secded: return "secded";
+    case SchemeKind::Ocean: return "ocean";
+    case SchemeKind::Custom: return "custom";
+  }
+  return "?";
+}
+
+std::ostream& operator<<(std::ostream& os, SchemeKind kind) {
+  return os << to_string(kind);
+}
 
 MitigationScheme no_mitigation() {
   MitigationScheme s;

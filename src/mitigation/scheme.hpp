@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 
 #include "ecc/code.hpp"
@@ -19,6 +20,10 @@
 namespace ntc::mitigation {
 
 enum class SchemeKind { NoMitigation, Secded, Ocean, Custom };
+
+/// Short label: "none", "secded", "ocean" or "custom".
+const char* to_string(SchemeKind kind);
+std::ostream& operator<<(std::ostream& os, SchemeKind kind);
 
 struct MitigationScheme {
   SchemeKind kind = SchemeKind::NoMitigation;

@@ -102,6 +102,24 @@ void TileLink::log_range(std::uint32_t word, std::uint32_t count) {
   }
 }
 
+sim::AccessStatus TileLink::read_burst_counted(std::uint32_t word_index,
+                                               std::span<std::uint32_t> data,
+                                               std::uint64_t& uncorrectable) {
+  const std::uint32_t n = static_cast<std::uint32_t>(data.size());
+  log_range(word_index, n);
+  sim::AccessStatus status = sim::AccessStatus::Ok;
+  uncorrectable = 0;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const sim::AccessStatus word_status =
+        shared_.read_word(word_index + i, data[i]);
+    status = sim::worse_status(status, word_status);
+    if (word_status != sim::AccessStatus::DetectedUncorrectable) continue;
+    ++uncorrectable;
+    if (i + 1 < n) log_range(word_index + i + 1, n - i - 1);
+  }
+  return status;
+}
+
 void TiledPlatform::add_compute_cycles(std::uint32_t t, std::uint64_t cycles,
                                        double fetches_per_cycle) {
   NTC_REQUIRE(fetches_per_cycle >= 0.0);

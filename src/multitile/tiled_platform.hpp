@@ -88,14 +88,12 @@ class TileLink final : public sim::MemoryPort {
     log_range(word_index, static_cast<std::uint32_t>(data.size()));
     return shared_.write_burst(word_index, data);
   }
-  sim::AccessStatus read_burst_tracked(std::uint32_t word_index,
+  /// Reads word by word through the shared memory.  The whole burst is
+  /// logged once, and its remainder again after each uncorrectable
+  /// word: the initiator re-requests the rest of the burst.
+  sim::AccessStatus read_burst_counted(std::uint32_t word_index,
                                        std::span<std::uint32_t> data,
-                                       std::uint32_t& first_bad) override {
-    // Timing is logged for the full request: the interconnect grants
-    // the burst before the decoder can know a word will fail.
-    log_range(word_index, static_cast<std::uint32_t>(data.size()));
-    return shared_.read_burst_tracked(word_index, data, first_bad);
-  }
+                                       std::uint64_t& uncorrectable) override;
 
  private:
   void log_range(std::uint32_t word, std::uint32_t count);

@@ -1,6 +1,5 @@
 #include "ocean/protected_buffer.hpp"
 
-#include <span>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -13,30 +12,6 @@ ProtectedBuffer::ProtectedBuffer(sim::EccMemory& pm) : pm_(pm) {
   NTC_REQUIRE_MSG(pm.word_count() >= 2, "PM too small for two slots");
 }
 
-namespace {
-
-/// Burst-read [base, base + out.size()) from `port` into `out`,
-/// counting detected-uncorrectable words by resuming after each one —
-/// the same per-word read order (and fault-model draw order) as a
-/// word-at-a-time copy loop, with burst speed on the clean spans.
-std::uint64_t read_counting_uncorrectable(sim::MemoryPort& port,
-                                          std::uint32_t base,
-                                          std::span<std::uint32_t> out) {
-  std::uint64_t uncorrectable = 0;
-  std::uint32_t off = 0;
-  const std::uint32_t n = static_cast<std::uint32_t>(out.size());
-  while (off < n) {
-    std::uint32_t bad = 0;
-    port.read_burst_tracked(base + off, out.subspan(off), bad);
-    if (bad == n - off) break;
-    ++uncorrectable;
-    off += bad + 1;
-  }
-  return uncorrectable;
-}
-
-}  // namespace
-
 ProtectedBuffer::SaveResult ProtectedBuffer::save_with_crc(
     sim::MemoryPort& spm, workloads::ChunkRef chunk, const ecc::Crc32& crc) {
   NTC_REQUIRE_MSG(chunk.words <= slot_capacity_words(),
@@ -44,8 +19,8 @@ ProtectedBuffer::SaveResult ProtectedBuffer::save_with_crc(
   const std::uint32_t base = slot_base(current_slot_ ^ 1u);  // idle slot
   SaveResult result;
   std::vector<std::uint32_t> buffer(chunk.words);
-  result.uncorrectable_words =
-      read_counting_uncorrectable(spm, chunk.word_offset, buffer);
+  spm.read_burst_counted(chunk.word_offset, buffer,
+                         result.uncorrectable_words);
   pm_.write_burst(base, buffer);
   std::uint32_t state = ecc::Crc32::initial();
   for (const std::uint32_t word : buffer) {
@@ -64,8 +39,7 @@ RestoreResult ProtectedBuffer::restore(sim::MemoryPort& spm,
   const std::uint32_t base = slot_base(current_slot_);
   RestoreResult result;
   std::vector<std::uint32_t> buffer(chunk.words);
-  result.uncorrectable_words =
-      read_counting_uncorrectable(pm_, base, buffer);
+  pm_.read_burst_counted(base, buffer, result.uncorrectable_words);
   spm.write_burst(chunk.word_offset, buffer);
   result.words_restored = chunk.words;
   return result;

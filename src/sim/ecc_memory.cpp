@@ -154,51 +154,12 @@ AccessStatus EccMemory::write_burst(std::uint32_t word_index,
   return AccessStatus::Ok;
 }
 
-AccessStatus EccMemory::read_burst_tracked(std::uint32_t word_index,
+AccessStatus EccMemory::read_burst_counted(std::uint32_t word_index,
                                            std::span<std::uint32_t> data,
-                                           std::uint32_t& first_bad) {
-  if (!code_) {
-    // Without a code no word can decode as uncorrectable.
-    const AccessStatus status = read_burst(word_index, data);
-    first_bad = static_cast<std::uint32_t>(data.size());
-    return status;
-  }
-  if (!burst_native_enabled() || !array_->txn_supported())
-    return MemoryPort::read_burst_tracked(word_index, data, first_bad);
-  NTC_REQUIRE(static_cast<std::uint64_t>(word_index) + data.size() <=
-              array_->words());
-  AccessStatus status = AccessStatus::Ok;
-  std::uint64_t raws[kCodecChunk];
-  ecc::BatchDecodeSummary summary;
-  for (std::size_t off = 0; off < data.size(); off += kCodecChunk) {
-    const std::uint32_t m = static_cast<std::uint32_t>(
-        std::min<std::size_t>(data.size() - off, kCodecChunk));
-    const std::uint32_t base = word_index + static_cast<std::uint32_t>(off);
-    // Run the chunk speculatively under a transaction so a mid-chunk
-    // uncorrectable word can be unwound to the exact per-word state.
-    // Stats are only merged once the chunk is known clean, so they need
-    // no rollback of their own.
-    const SramModule::Txn txn = array_->txn_save();
-    array_->read_raw_burst(base, raws, m);
-    code_->decode_words(raws, m, data.data() + off, summary);
-    if (summary.first_uncorrectable == m) {
-      status = worse_status(status, note_summary(summary));
-      if (trace_sink_) trace_sink_->on_access(false, base, data.data() + off, m);
-      continue;
-    }
-    // Roll back and replay word-at-a-time through the failing word:
-    // determinism replays identical draws, and the fault-model state
-    // stops exactly where the per-word loop would.
-    const std::uint32_t bad =
-        static_cast<std::uint32_t>(summary.first_uncorrectable);
-    array_->txn_restore(txn);
-    for (std::uint32_t i = 0; i < bad; ++i)
-      status = worse_status(status, read_word(base + i, data[off + i]));
-    (void)read_word(base + bad, data[off + bad]);
-    first_bad = static_cast<std::uint32_t>(off) + bad;
-    return status;
-  }
-  first_bad = static_cast<std::uint32_t>(data.size());
+                                           std::uint64_t& uncorrectable) {
+  const std::uint64_t before = stats_.uncorrectable_words;
+  const AccessStatus status = read_burst(word_index, data);
+  uncorrectable = stats_.uncorrectable_words - before;
   return status;
 }
 

@@ -59,13 +59,11 @@ class EccMemory final : public MemoryPort {
   AccessStatus write_burst(std::uint32_t word_index,
                            std::span<const std::uint32_t> data) override;
 
-  /// Native tracked burst: chunks run speculatively; a chunk met by a
-  /// detected-uncorrectable word is rolled back (array + injector RNG)
-  /// and replayed word-at-a-time up to the failing word, so the
-  /// observable state stops exactly where the per-word loop would.
-  AccessStatus read_burst_tracked(std::uint32_t word_index,
+  /// Native counted burst: one read_burst, counted as the change in
+  /// stats().uncorrectable_words.
+  AccessStatus read_burst_counted(std::uint32_t word_index,
                                   std::span<std::uint32_t> data,
-                                  std::uint32_t& first_bad) override;
+                                  std::uint64_t& uncorrectable) override;
 
   /// Rewrite every word through the codec (corrects what is
   /// correctable).  Uncorrectable words are counted but left untouched:

@@ -58,21 +58,18 @@ AccessStatus MemoryPort::write_burst(std::uint32_t word_index,
   return status;
 }
 
-AccessStatus MemoryPort::read_burst_tracked(std::uint32_t word_index,
+AccessStatus MemoryPort::read_burst_counted(std::uint32_t word_index,
                                             std::span<std::uint32_t> data,
-                                            std::uint32_t& first_bad) {
+                                            std::uint64_t& uncorrectable) {
   require_no_wrap(word_index, data.size());
   AccessStatus status = AccessStatus::Ok;
+  uncorrectable = 0;
   for (std::size_t i = 0; i < data.size(); ++i) {
     const AccessStatus word_status =
         read_word(word_index + static_cast<std::uint32_t>(i), data[i]);
-    if (word_status == AccessStatus::DetectedUncorrectable) {
-      first_bad = static_cast<std::uint32_t>(i);
-      return status;
-    }
+    if (word_status == AccessStatus::DetectedUncorrectable) ++uncorrectable;
     status = worse_status(status, word_status);
   }
-  first_bad = static_cast<std::uint32_t>(data.size());
   return status;
 }
 

@@ -62,17 +62,13 @@ class MemoryPort {
   virtual AccessStatus write_burst(std::uint32_t word_index,
                                    std::span<const std::uint32_t> data);
 
-  /// Burst read that stops at the first DetectedUncorrectable word, so
-  /// a burst-aware initiator can react (retry, scrub, escalate) at the
-  /// exact access position the per-word loop would have: data[0 ..
-  /// first_bad] is filled (the failing word best-effort), fault-model
-  /// state advances only for those words, and the return value
-  /// aggregates the *clean prefix* [0, first_bad).  first_bad ==
-  /// data.size() when every word decodes, in which case the return
-  /// value covers the whole burst.
-  virtual AccessStatus read_burst_tracked(std::uint32_t word_index,
+  /// read_burst that also counts the words that decoded as
+  /// DetectedUncorrectable into `uncorrectable`.  Every word is read
+  /// once, in ascending order, so the draws and counters are those of
+  /// read_burst.  The default counts word by word.
+  virtual AccessStatus read_burst_counted(std::uint32_t word_index,
                                           std::span<std::uint32_t> data,
-                                          std::uint32_t& first_bad);
+                                          std::uint64_t& uncorrectable);
 };
 
 }  // namespace ntc::sim

@@ -264,28 +264,6 @@ void SramModule::write_raw_burst(std::uint32_t index,
   for (std::uint32_t i = 0; i < count; ++i) write_raw(index + i, values[i]);
 }
 
-bool SramModule::txn_supported() const {
-  return injectors_.empty() ||
-         (injectors_.size() == 1 && injectors_[0] == stochastic_);
-}
-
-SramModule::Txn SramModule::txn_save() const {
-  Txn txn;
-  txn.stats = stats_;
-  txn.access_count = ctx_.access_count;
-  if (stochastic_) {
-    txn.rng = stochastic_->rng_state();
-    txn.has_rng = true;
-  }
-  return txn;
-}
-
-void SramModule::txn_restore(const Txn& txn) {
-  stats_ = txn.stats;
-  ctx_.access_count = txn.access_count;
-  if (txn.has_rng) stochastic_->restore_rng(txn.rng);
-}
-
 void SramModule::write_raw(std::uint32_t index, std::uint64_t value) {
   NTC_REQUIRE(index < words());
   NTC_REQUIRE((value & ~mask()) == 0);

@@ -84,25 +84,6 @@ class SramModule {
   void write_raw_burst(std::uint32_t index, const std::uint64_t* values,
                        std::uint32_t count);
 
-  /// Snapshot of the access-visible mutable state (counters + the
-  /// stochastic model's RNG), used by burst-aware initiators to roll a
-  /// speculative burst back to its start and replay word-at-a-time up
-  /// to a failing word.  Only meaningful while txn_supported().
-  struct Txn {
-    SramStats stats;
-    std::uint64_t access_count = 0;
-    Rng rng{0};
-    bool has_rng = false;
-  };
-
-  /// Rollback is supported only while every injector's access-visible
-  /// state is captured by the snapshot — i.e. the chain is at most the
-  /// stochastic model (scripted scenario injectors carry one-shot event
-  /// state that cannot be rewound).
-  bool txn_supported() const;
-  Txn txn_save() const;
-  void txn_restore(const Txn& txn);
-
   /// Debug/test view of the raw stored words (no access performed, no
   /// fault model applied).
   const std::vector<std::uint64_t>& raw_words() const { return data_; }

@@ -101,11 +101,6 @@ class StochasticInjector final : public FaultInjector {
   /// path.
   void access_flips_burst(std::uint32_t count, std::uint64_t* flips);
 
-  /// RNG snapshot/restore for burst rollback (SramModule::txn_save):
-  /// the flip stream is the injector's only access-visible state.
-  Rng rng_state() const { return rng_; }
-  void restore_rng(const Rng& rng) { rng_ = rng; }
-
   /// Restart as a freshly-constructed instance over `rng`: new silicon
   /// fingerprint, no stuck cells, untouched flip stream — the
   /// Platform::reset fast path.  The caller re-derives the operating

@@ -55,6 +55,7 @@ ArgKeys arg_keys(EventKind kind) {
     case EventKind::Recovery: return {"stage", "recovered"};
     case EventKind::CampaignTrial: return {"seed", "outcome"};
     case EventKind::ExecutorJob: return {"executed", "stolen"};
+    case EventKind::CampaignShard: return {"shard_id", "trials"};
   }
   return {"a0", "a1"};
 }

@@ -129,7 +129,8 @@ TEST(ExecutorTest, UnbalancedWorkGetsStolen) {
   executor.parallel_for(kN, [&](std::size_t i, unsigned) {
     if (i < 4) {
       volatile std::uint64_t sink = 0;
-      for (int k = 0; k < 2'000'000; ++k) sink += static_cast<std::uint64_t>(k);
+      for (int k = 0; k < 2'000'000; ++k)
+        sink = sink + static_cast<std::uint64_t>(k);
     }
     hits[i].fetch_add(1, std::memory_order_relaxed);
   });

@@ -51,8 +51,6 @@ void expect_same_decode(const BlockCode& code,
   EXPECT_EQ(on.summary.corrected_bits, off.summary.corrected_bits) << label;
   EXPECT_EQ(on.summary.uncorrectable_words, off.summary.uncorrectable_words)
       << label;
-  EXPECT_EQ(on.summary.first_uncorrectable, off.summary.first_uncorrectable)
-      << label;
 }
 
 /// Every 0/1/2-bit error pattern over the 39 codeword positions applied

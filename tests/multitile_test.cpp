@@ -7,6 +7,7 @@
 // contention grows monotonically as the bank count shrinks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <cstdint>
@@ -343,6 +344,47 @@ TEST(SharedMemory, BurstsMatchTheScalarDecomposition) {
     EXPECT_EQ(burst.banks().bank(b).stats().injected_write_flips,
               scalar.banks().bank(b).stats().injected_write_flips)
         << "bank " << b;
+  }
+}
+
+TEST(TileLink, CountedReadChargesEachReRequestedRemainder) {
+  // The initiator re-requests the rest of its burst after each
+  // uncorrectable word, so one counted read of n words with bad words
+  // at offsets b charges n + sum(n - b - 1) beats.  A bad last word
+  // leaves nothing to re-request.
+  multitile::TiledPlatformConfig config;
+  config.tile_schemes = {SchemeKind::Secded};
+  config.banks = 2;
+  config.vdd = Volt{0.60};
+  config.inject_faults = false;
+  multitile::TiledPlatform platform(config);
+  multitile::SharedMemory& shared = platform.shared();
+  constexpr std::uint32_t base = 16;
+  constexpr std::uint32_t n = 24;
+  for (std::uint32_t w = 0; w < n; ++w)
+    ASSERT_EQ(shared.write_word(base + w, w * 0x01010101u),
+              sim::AccessStatus::Ok);
+  const std::vector<std::uint32_t> bad = {3, 10, 11, n - 1};
+  for (const std::uint32_t b : bad)
+    shared.banks().write_raw(base + b,
+                             shared.banks().read_raw(base + b) ^ 0b110ull);
+
+  platform.barrier();
+  const std::uint64_t beats_before = platform.arbiter().stats().beats;
+  std::vector<std::uint32_t> data(n, 0xFFFFFFFFu);
+  std::uint64_t uncorrectable = 0;
+  EXPECT_EQ(platform.link(0).read_burst_counted(base, data, uncorrectable),
+            sim::AccessStatus::DetectedUncorrectable);
+  platform.barrier();
+
+  EXPECT_EQ(uncorrectable, bad.size());
+  std::uint64_t expected_beats = n;
+  for (const std::uint32_t b : bad) expected_beats += n - b - 1;
+  EXPECT_EQ(platform.arbiter().stats().beats - beats_before, expected_beats);
+  for (std::uint32_t w = 0; w < n; ++w) {
+    if (std::find(bad.begin(), bad.end(), w) == bad.end()) {
+      EXPECT_EQ(data[w], w * 0x01010101u) << "w=" << w;
+    }
   }
 }
 

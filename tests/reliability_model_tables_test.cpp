@@ -70,7 +70,9 @@ TEST(RetentionVminTableTest, MatchesDirectPerCellDraw) {
   const double boundary = table->vmin_desc[kCells / 2];
   const auto at = table->failing_count(Volt{boundary});
   EXPECT_LE(at, kCells / 2);
-  if (at > 0) EXPECT_GT(table->vmin_desc[at - 1], boundary);
+  if (at > 0) {
+    EXPECT_GT(table->vmin_desc[at - 1], boundary);
+  }
 }
 
 TEST(ModelTableCacheTest, SharesTablesPerKeyAndMemoisesAccessCurve) {

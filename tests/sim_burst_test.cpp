@@ -1,7 +1,7 @@
 // Unit tests for the burst-transaction pipeline: native bursts at every
-// layer (SramModule raw bursts, EccMemory batch codec bursts, NtcMemory
-// scrub chunking, AdaptiveNtcMemory recovery resume, Bus boundary
-// splitting) must be observably identical to the word-at-a-time
+// layer (SramModule raw bursts, EccMemory batch codec and counted
+// bursts, NtcMemory scrub chunking, AdaptiveNtcMemory recovery, Bus
+// boundary splitting) must be observably identical to the word-at-a-time
 // decomposition — same data, same counters, same fault-model RNG
 // consumption.  The process-wide set_burst_native_enabled switch routes
 // the identical call sequence through the base-class fallback for the
@@ -15,6 +15,7 @@
 #include "core/adaptive_memory.hpp"
 #include "core/ntc_memory.hpp"
 #include "ecc/hamming.hpp"
+#include "faultsim/scenario.hpp"
 #include "reliability/access_model.hpp"
 #include "reliability/noise_margin.hpp"
 #include "sim/bus.hpp"
@@ -84,19 +85,6 @@ TEST(SramRawBurst, MatchesPerWordLoop) {
   }
 }
 
-TEST(SramRawBurst, TxnRestoreReplaysIdenticalDraws) {
-  // Roll a burst back and replay it per-word: determinism must hand the
-  // replay exactly the draws the burst consumed.
-  sim::SramModule mod = make_sram(Volt{0.42}, /*inject=*/true, 7);
-  ASSERT_TRUE(mod.txn_supported());
-  std::vector<std::uint64_t> first(16), replay(16);
-  const sim::SramModule::Txn txn = mod.txn_save();
-  mod.read_raw_burst(0, first.data(), 16);
-  mod.txn_restore(txn);
-  for (std::uint32_t w = 0; w < 16; ++w) replay[w] = mod.read_raw(w);
-  EXPECT_EQ(first, replay);
-}
-
 TEST(EccBurst, MatchesWordFallbackUnderFaults) {
   // Native bursts (batch codec + raw bursts) versus the identical call
   // sequence routed through the word-at-a-time fallback.
@@ -135,38 +123,75 @@ TEST(EccBurst, MatchesWordFallbackUnderFaults) {
   }
 }
 
-TEST(EccBurstTracked, StopsAtFirstUncorrectableWord) {
-  // Fault-free array with one double-bit-corrupted codeword (the
-  // SECDED detect-only case): the tracked burst must stop exactly
-  // there with the clean prefix intact and count a single
-  // uncorrectable word (the speculative chunk is rolled back and
-  // replayed per-word).
-  auto code = std::make_shared<ecc::HammingSecded>(32);
+struct CountedRead {
+  std::vector<std::uint32_t> data;
+  sim::AccessStatus status = sim::AccessStatus::Ok;
+  std::uint64_t uncorrectable = 0;
+  sim::EccMemoryStats ecc_stats;
+  sim::SramStats array_stats;
+};
+
+/// Native burst, word-at-a-time fallback, or the MemoryPort default.
+enum class CountedPath { Native, Fallback, PortDefault };
+
+/// One counted burst over words [0, 16) of a fault-free SECDED memory
+/// with double-bit-corrupted codewords (the detect-only case) at words
+/// 5 and 11.  `scripted` attaches a scenario injector that flips one
+/// bit of word 9 on its first read.
+CountedRead counted_read_of_two_bad_words(CountedPath path, bool scripted) {
+  NativeBurstGuard guard(path != CountedPath::Fallback);
   sim::EccMemory memory(std::make_unique<sim::SramModule>(make_sram(
                             Volt{0.60}, /*inject=*/false, 1)),
-                        code);
-  ASSERT_TRUE(memory.array().txn_supported());
+                        std::make_shared<ecc::HammingSecded>(32));
+  if (scripted)
+    memory.array().attach_injector(std::make_shared<faultsim::ScenarioInjector>(
+        std::vector<faultsim::FaultEvent>{
+            faultsim::FaultEvent::transient_flip(9, 0b1)}));
   for (std::uint32_t w = 0; w < memory.word_count(); ++w)
     memory.write_word(w, w * 0x01010101u);
-  const std::uint64_t raw = memory.array().raw_words()[5];
-  memory.array().write_raw(5, raw ^ 0b110ull);  // double error
+  for (const std::uint32_t w : {5u, 11u})
+    memory.array().write_raw(w, memory.array().raw_words()[w] ^ 0b110ull);
 
-  std::vector<std::uint32_t> data(16, 0xFFFFFFFFu);
-  std::uint32_t first_bad = 0;
-  const sim::AccessStatus status = memory.read_burst_tracked(0, data, first_bad);
-  EXPECT_EQ(first_bad, 5u);
-  EXPECT_EQ(status, sim::AccessStatus::Ok);  // clean-prefix aggregate
-  for (std::uint32_t w = 0; w < 5; ++w)
-    EXPECT_EQ(data[w], w * 0x01010101u) << "w=" << w;
-  EXPECT_EQ(memory.stats().uncorrectable_words, 1u);
+  CountedRead read;
+  read.data.assign(16, 0xFFFFFFFFu);
+  read.status =
+      path == CountedPath::PortDefault
+          ? memory.sim::MemoryPort::read_burst_counted(0, read.data,
+                                                       read.uncorrectable)
+          : memory.read_burst_counted(0, read.data, read.uncorrectable);
+  read.ecc_stats = memory.stats();
+  read.array_stats = memory.array().stats();
+  return read;
+}
 
-  // Resuming after the bad word covers the rest of the range.
-  const sim::AccessStatus tail = memory.read_burst_tracked(
-      6, std::span<std::uint32_t>(data).subspan(6), first_bad);
-  EXPECT_EQ(tail, sim::AccessStatus::Ok);
-  EXPECT_EQ(first_bad, 10u);
-  for (std::uint32_t w = 6; w < 16; ++w)
-    EXPECT_EQ(data[w], w * 0x01010101u) << "w=" << w;
+TEST(EccBurstCounted, CountsEveryUncorrectableWord) {
+  // The counted burst reads all 16 words, counts both bad ones, and
+  // leaves every other word intact; the native burst matches the
+  // word-at-a-time fallback and the MemoryPort default, also with a
+  // scripted injector in the chain.
+  for (const bool scripted : {false, true}) {
+    const CountedRead native =
+        counted_read_of_two_bad_words(CountedPath::Native, scripted);
+    EXPECT_EQ(native.uncorrectable, 2u) << "scripted=" << scripted;
+    EXPECT_EQ(native.ecc_stats.uncorrectable_words, 2u);
+    EXPECT_EQ(native.ecc_stats.corrected_words, scripted ? 1u : 0u);
+    EXPECT_EQ(native.status, sim::AccessStatus::DetectedUncorrectable);
+    for (std::uint32_t w = 0; w < 16; ++w) {
+      if (w != 5 && w != 11) {
+        EXPECT_EQ(native.data[w], w * 0x01010101u) << "w=" << w;
+      }
+    }
+
+    for (const CountedPath path :
+         {CountedPath::Fallback, CountedPath::PortDefault}) {
+      const CountedRead other = counted_read_of_two_bad_words(path, scripted);
+      EXPECT_EQ(native.uncorrectable, other.uncorrectable);
+      EXPECT_EQ(native.status, other.status);
+      EXPECT_EQ(native.data, other.data);
+      expect_same_stats(native.array_stats, other.array_stats);
+      expect_same_ecc_stats(native.ecc_stats, other.ecc_stats);
+    }
+  }
 }
 
 TEST(NtcBurst, ScrubChunkingMatchesPerWordCadence) {
