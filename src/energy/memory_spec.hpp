@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 
 namespace ntc::energy {
@@ -23,6 +24,10 @@ inline std::string to_string(MemoryStyle s) {
     case MemoryStyle::CellBasedImec40: return "Cell-based imec 40nm";
   }
   return "?";
+}
+
+inline std::ostream& operator<<(std::ostream& os, MemoryStyle s) {
+  return os << to_string(s);
 }
 
 struct MemoryGeometry {

@@ -15,8 +15,7 @@
 #include "ecc/hamming.hpp"
 #include "energy/memory_calculator.hpp"
 #include "ocean/runtime.hpp"
-#include "reliability/model_tables.hpp"
-#include "sim/stochastic_injector.hpp"
+#include "sim/fault_draw.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/telemetry.hpp"
 #include "workloads/fft.hpp"
@@ -36,72 +35,9 @@ const ecc::HammingSecded& replay_secded() {
   return code;
 }
 
-/// Bit-exact replica of one array's StochasticInjector flip-draw
-/// sequence: one gate uniform per word access in order; a gate miss
-/// draws the nonzero mask via the shared conditional-chain sampler.
-/// The bulk scan mirrors StochasticInjector::access_flips_burst —
-/// fill_u64 gate chunks with snapshot/rewind on a flip — so the
-/// consumed stream is identical to per-word draw_flip_mask calls,
-/// which is what the scalar trial's per-word chain walk performs
-/// (scenario injectors pin the chain length above one, disabling the
-/// array's own burst fast path).
-class FlipStream {
- public:
-  FlipStream(const Rng& rng, double p_access, std::uint32_t stored_bits)
-      : rng_(rng),
-        p_access_(p_access),
-        threshold_(simd::gate_threshold(
-            std::pow(1.0 - p_access, static_cast<double>(stored_bits)))),
-        stored_bits_(stored_bits) {}
-
-  /// Scan `count` consecutive word accesses; invoke on_flip(offset,
-  /// mask) for every access that draws a (nonzero) flip mask.
-  template <typename Fn>
-  void scan(std::uint64_t count, Fn&& on_flip) {
-    constexpr std::uint32_t kGateChunk = 128;
-    std::uint64_t gates[kGateChunk];
-    std::uint64_t i = 0;
-    while (i < count) {
-      const std::uint32_t n = static_cast<std::uint32_t>(
-          std::min<std::uint64_t>(count - i, kGateChunk));
-      const Rng snapshot = rng_;
-      rng_.fill_u64({gates, n});
-      // Integer-exact gate compare (see simd::gate_threshold); the
-      // vector and scalar scans agree with the double compare bit for
-      // bit, so the drawn stream is kill-switch-invariant.
-      const std::uint32_t flip_at = simd::find_first_gate(gates, n, threshold_);
-      if (flip_at == n) {
-        i += n;
-        continue;
-      }
-      rng_ = snapshot;
-      for (std::uint32_t j = 0; j <= flip_at; ++j) rng_.next_u64();
-      on_flip(i + flip_at, draw_nonzero());
-      i += flip_at + 1;
-    }
-  }
-
- private:
-  std::uint64_t draw_nonzero() {
-    return sim::draw_conditional_nonzero_flips(rng_, p_access_, stored_bits_);
-  }
-
-  Rng rng_;
-  double p_access_;
-  std::uint64_t threshold_;  ///< gate fires when (u >> 11) >= threshold_
-  std::uint32_t stored_bits_;
-};
-
 inline std::uint64_t popcount64(std::uint64_t x) {
   return static_cast<std::uint64_t>(__builtin_popcountll(x));
 }
-
-/// A retention-stuck word: `value` is already masked by `mask`.
-struct StuckWord {
-  std::uint32_t word = 0;
-  std::uint64_t mask = 0;
-  std::uint64_t value = 0;
-};
 
 }  // namespace
 
@@ -111,10 +47,7 @@ struct BatchEngine::ArrayParams {
   reliability::NoiseMarginModel retention;
   std::uint32_t words;
   std::uint32_t stored_bits;
-  std::uint64_t salt;
-  /// Supplies at or above this provably retain every cell (the
-  /// StochasticInjector lazy-fingerprint bound).
-  double lazy_safe_vdd;
+  sim::ArrayKind kind;
 };
 
 /// One logical memory transaction of the golden trace.
@@ -255,15 +188,10 @@ TraceCacheEntry& trace_cache() {
 BatchEngine::ArrayParams make_array_params(energy::MemoryStyle style,
                                            std::uint32_t bytes,
                                            std::uint32_t stored_bits,
-                                           std::uint64_t salt) {
+                                           sim::ArrayKind kind) {
   energy::MemoryCalculator calc(style, energy::MemoryGeometry{bytes / 4, 32});
-  reliability::NoiseMarginModel retention = calc.retention_model();
-  const double bound = Rng::max_normal_magnitude();
-  const double lazy_safe =
-      std::max(retention.cell_retention_vmin(-bound).value,
-               retention.cell_retention_vmin(bound).value);
-  return BatchEngine::ArrayParams{calc.access_model(), std::move(retention),
-                                  bytes / 4, stored_bits, salt, lazy_safe};
+  return BatchEngine::ArrayParams{calc.access_model(), calc.retention_model(),
+                                  bytes / 4, stored_bits, kind};
 }
 
 }  // namespace
@@ -383,10 +311,10 @@ void BatchEngine::capture_plain(SchemeState& state,
   state.coded_spm = secded;
   state.spm = make_array_params(base_platform_.memory_style,
                                 base_platform_.spm_bytes, secded ? 39 : 32,
-                                0x20);
+                                sim::ArrayKind::Spm);
   state.imem = make_array_params(base_platform_.memory_style,
                                  base_platform_.imem_bytes, secded ? 39 : 32,
-                                 0x10);
+                                 sim::ArrayKind::Imem);
 
   workloads::FixedPointFft fft(config_.fft_points);
   fft.set_input(signal_);
@@ -412,13 +340,16 @@ void BatchEngine::capture_ocean(SchemeState& state) {
   state.scheme_name = mitigation::ocean_scheme().name;
   state.coded_spm = true;  // SPM keeps SECDED under OCEAN
   state.spm = make_array_params(base_platform_.memory_style,
-                                base_platform_.spm_bytes, 39, 0x20);
+                                base_platform_.spm_bytes, 39,
+                                sim::ArrayKind::Spm);
   state.imem = make_array_params(base_platform_.memory_style,
-                                 base_platform_.imem_bytes, 39, 0x10);
+                                 base_platform_.imem_bytes, 39,
+                                 sim::ArrayKind::Imem);
   const std::uint32_t pm_bits =
       static_cast<std::uint32_t>(ecc::ocean_buffer_code().code_bits());
   state.pm = make_array_params(base_platform_.memory_style,
-                               base_platform_.pm_bytes, pm_bits, 0x30);
+                               base_platform_.pm_bytes, pm_bits,
+                               sim::ArrayKind::Pm);
 
   // The OCEAN protocol interleaves checkpoint DMA and CRC sweeps with
   // the workload, so the trace is captured from a real (fault-free)
@@ -452,93 +383,46 @@ void BatchEngine::capture_ocean(SchemeState& state) {
 
 bool BatchEngine::replay_trial(const SchemeState& state, Volt vdd,
                                std::uint64_t seed, RunRecord& out) const {
-  const bool stochastic = base_platform_.inject_faults;
-  std::uint64_t stuck_bits = 0;
-  std::uint64_t injected_flips = 0;
-  std::uint64_t corrected_words = 0;
-
-  // --- per-array fault-state derivation, exactly the scalar reset path:
-  // stream = Rng(seed).fork(salt); sigma fingerprint via fork(0x51d3)
-  // through the shared table cache; stuck values via fork(0x57).
-  const auto derive =
-      [&](const ArrayParams& ap, Rng& stream, double& p_access,
-          std::shared_ptr<const reliability::RetentionVminTable>& table,
-          std::size_t& failing) {
-        stream = Rng(seed).fork(ap.salt);
-        p_access = 0.0;
-        table = nullptr;
-        failing = 0;
-        if (!stochastic) return;
-        p_access = tables_->p_access(ap.access, vdd);
-        if (vdd.value < ap.lazy_safe_vdd) {
-          const std::uint64_t sigma_seed = stream.fork(0x51d3).seed();
-          table = tables_->retention_vmin(
-              ap.retention, sigma_seed,
-              static_cast<std::size_t>(ap.words) * ap.stored_bits);
-          failing = table->failing_count(vdd);
-        }
-      };
-
-  Rng stream{0};
-  double p_access = 0.0;
-  std::shared_ptr<const reliability::RetentionVminTable> table;
-  std::size_t failing = 0;
+  // Each array's fault state, drawn by the sampler the scalar path's
+  // StochasticInjector wraps, over the stream Platform::reset gives it.
+  const auto draw = [&](const ArrayParams& ap) {
+    sim::FaultDraw fault(ap.access, ap.retention, ap.words, ap.stored_bits,
+                         tables_.get(), sim::array_stream(seed, ap.kind));
+    if (base_platform_.inject_faults) fault.set_vdd(vdd);
+    out.stuck_bits += fault.stuck_bits();
+    return fault;
+  };
 
   // Instruction memory: never accessed by the execution-driven FFT
   // (fetches are charged as counts, not transactions), so it
   // contributes only its stuck-cell population to the record.
-  derive(*state.imem, stream, p_access, table, failing);
-  stuck_bits += failing;
+  draw(*state.imem);
 
   // Protected memory: write-only on the convergent path, so the replay
   // reduces to the write-flip draw sequence (masks are counted but no
   // word is ever read back).
   if (state.pm) {
-    derive(*state.pm, stream, p_access, table, failing);
-    stuck_bits += failing;
-    if (p_access > 0.0 && state.pm_write_words > 0) {
-      FlipStream flips(stream, p_access, state.pm->stored_bits);
-      flips.scan(state.pm_write_words,
-                 [&](std::uint64_t, std::uint64_t mask) {
-                   injected_flips += popcount64(mask);
-                 });
-    }
+    sim::FaultDraw pm = draw(*state.pm);
+    if (pm.p_access() > 0.0)
+      pm.scan_flips(state.pm_write_words,
+                    [&](std::uint64_t, std::uint64_t mask) {
+                      out.injected_flips += popcount64(mask);
+                    });
   }
 
   // --- scratchpad: the traced transaction walk.
-  derive(*state.spm, stream, p_access, table, failing);
-  stuck_bits += failing;
-
-  // Sparse stuck state, rebuilt exactly like rebuild_stuck_state: the
-  // failing cells are the first `failing` of the descending-V_min table,
-  // revisited in ascending cell order for the value redraw.
-  std::vector<StuckWord> stuck;
-  if (failing > 0) {
-    std::vector<std::uint32_t> cells(table->cell_desc.begin(),
-                                     table->cell_desc.begin() + failing);
-    std::sort(cells.begin(), cells.end());
-    Rng stuck_rng = stream.fork(0x57);
-    const std::uint32_t bits = state.spm->stored_bits;
-    for (const std::uint32_t cell : cells) {
-      const std::uint32_t word = cell / bits;
-      const std::uint64_t bit = std::uint64_t{1} << (cell % bits);
-      if (stuck.empty() || stuck.back().word != word)
-        stuck.push_back(StuckWord{word, 0, 0});
-      stuck.back().mask |= bit;
-      if (stuck_rng.bernoulli(0.5)) stuck.back().value |= bit;
-    }
-  }
+  sim::FaultDraw spm = draw(*state.spm);
+  const std::vector<sim::StuckWord>& stuck = spm.stuck();
 
   // Persistent word errors relative to the golden raw image.  The array
   // reset commits the stuck overlay into the zeroed words, so a stuck
   // word deviates by its stuck value until first (re)written; after a
   // write the deviation is exactly the write-flip mask.
   std::map<std::uint32_t, std::uint64_t> werr;
-  for (const StuckWord& sw : stuck)
+  for (const sim::StuckWord& sw : stuck)
     if (sw.value != 0) werr.emplace(sw.word, sw.value);
 
-  FlipStream flips(stream, p_access, state.spm->stored_bits);
-  const bool draws = stochastic && p_access > 0.0;
+  const bool draws = spm.p_access() > 0.0;
 
   std::vector<std::pair<std::uint32_t, std::uint64_t>> txn_flips;
   std::vector<std::uint32_t> dirty_words;
@@ -549,20 +433,13 @@ bool BatchEngine::replay_trial(const SchemeState& state, Volt vdd,
   std::vector<std::uint64_t> dev_golden, dev_werr, dev_mask, dev_value,
       dev_flip, dev_error;
 
-  const auto stuck_lower = [&](std::uint32_t word) {
-    return std::lower_bound(stuck.begin(), stuck.end(), word,
-                            [](const StuckWord& sw, std::uint32_t w) {
-                              return sw.word < w;
-                            });
-  };
-
   for (const SchemeState::Txn& txn : state.spm_txns) {
     const std::uint32_t end = txn.base + txn.count;
     txn_flips.clear();
     if (draws) {
-      flips.scan(txn.count, [&](std::uint64_t at, std::uint64_t mask) {
+      spm.scan_flips(txn.count, [&](std::uint64_t at, std::uint64_t mask) {
         txn_flips.emplace_back(static_cast<std::uint32_t>(at), mask);
-        injected_flips += popcount64(mask);
+        out.injected_flips += popcount64(mask);
       });
     }
     if (txn.is_write) {
@@ -576,7 +453,9 @@ bool BatchEngine::replay_trial(const SchemeState& state, Volt vdd,
     }
 
     // Read: gather the words whose raw image can deviate from golden.
-    const auto stuck_it = stuck_lower(txn.base);
+    const auto stuck_it = std::lower_bound(
+        stuck.begin(), stuck.end(), txn.base,
+        [](const sim::StuckWord& sw, std::uint32_t w) { return sw.word < w; });
     const bool stuck_in_range =
         stuck_it != stuck.end() && stuck_it->word < end;
     const auto werr_it = werr.lower_bound(txn.base);
@@ -607,12 +486,7 @@ bool BatchEngine::replay_trial(const SchemeState& state, Volt vdd,
     dev_error.resize(total);
     for (std::size_t wi = 0; wi < total; ++wi) {
       const std::uint32_t word = dirty_words[wi];
-      std::uint64_t m = 0, v = 0;
-      const auto sit = stuck_lower(word);
-      if (sit != stuck.end() && sit->word == word) {
-        m = sit->mask;
-        v = sit->value;
-      }
+      const sim::StuckWord stuck_word = spm.stuck_word(word);
       std::uint64_t we = 0;
       if (const auto wit = werr.find(word); wit != werr.end())
         we = wit->second;
@@ -624,8 +498,8 @@ bool BatchEngine::replay_trial(const SchemeState& state, Volt vdd,
         flip = fit->second;
       dev_golden[wi] = state.spm_raw[txn.offset + (word - txn.base)];
       dev_werr[wi] = we;
-      dev_mask[wi] = m;
-      dev_value[wi] = v;
+      dev_mask[wi] = stuck_word.mask;
+      dev_value[wi] = stuck_word.value;
       dev_flip[wi] = flip;
     }
     dirty_raw.clear();
@@ -656,7 +530,7 @@ bool BatchEngine::replay_trial(const SchemeState& state, Volt vdd,
       if (dirty_data[i] != state.spm_logical[txn.offset + (word - txn.base)])
         return false;  // miscorrection: downstream data diverges
     }
-    corrected_words += summary.corrected_words;
+    out.corrected_words += summary.corrected_words;
   }
 
   // Convergent: every traced read returned the golden data, so the
@@ -665,17 +539,8 @@ bool BatchEngine::replay_trial(const SchemeState& state, Volt vdd,
   out.seed = seed;
   out.snr_db = golden_snr_db_;
   out.cycles = state.cycles;
-  out.corrected_words = corrected_words;
-  out.uncorrectable_words = 0;
-  out.injected_flips = injected_flips;
-  out.stuck_bits = stuck_bits;
-  out.scenario_events_fired = 0;
-  out.ocean_restores = 0;
-  out.ocean_voltage_escalations = 0;
-  const bool any_fault_activity =
-      corrected_words > 0 || injected_flips > 0 || stuck_bits > 0;
-  out.outcome =
-      any_fault_activity ? RunOutcome::Corrected : RunOutcome::Clean;
+  out.outcome = classify_outcome(out, /*system_failure=*/false,
+                                 /*output_ok=*/true, /*faulted_phases=*/0);
   return true;
 }
 

@@ -12,14 +12,13 @@
 //     from a fault-free run (EccMemory::TraceSink): the ordered list of
 //     logical memory transactions the workload issues, the golden data
 //     every read returns, and the deterministic cycle total;
-//   * a per-trial replay that re-derives exactly the fault state the
-//     scalar path would have drawn — the per-array RNG streams
-//     (Platform::reset fork salts), the shared-ModelTableCache
-//     retention fingerprint and stuck values, and the per-word access
-//     flip draws in scalar order (bulk gate scan over Rng::fill_u64) —
-//     and pushes it through the trace's error algebra.  Only *dirty*
-//     words (nonzero raw error) are decoded, through the word-direct
-//     decode_words kernels.
+//   * a per-trial replay that draws each array's fault state with the
+//     same sim::FaultDraw the scalar path's StochasticInjector wraps,
+//     over the stream Platform::reset gives that array — both engines
+//     call one sampler, so they draw the same stuck cells and flips by
+//     construction — and pushes it through the trace's error algebra.
+//     Only *dirty* words (nonzero raw error) are decoded, through the
+//     word-direct decode_words kernels.
 //
 // A trial stays on the batch path while every traced read decodes to
 // the golden data with status Ok/Corrected.  Anything else — an
@@ -32,7 +31,8 @@
 // Byte-identity contract: for every trial the engine either produces a
 // RunRecord byte-identical to the scalar path's or peels.  The
 // sim::set_batch_enabled kill-switch forces everything scalar; the
-// equivalence suite diffs full ledgers across both settings.
+// equivalence suite diffs full ledgers across both settings, and the
+// golden ledger suite pins their bytes.
 //
 // Captured traces are seed-invariant, so they live in a process-wide
 // cache (the reliability::ModelTableCache pattern) keyed by every
@@ -113,6 +113,8 @@ class BatchEngine {
   void capture_scheme(SchemeState& state, mitigation::SchemeKind kind);
   void capture_plain(SchemeState& state, mitigation::SchemeKind kind);
   void capture_ocean(SchemeState& state);
+  /// Replay one trial into the default-constructed `out`; false when
+  /// the trial diverges from the trace and must peel.
   bool replay_trial(const SchemeState& state, Volt vdd, std::uint64_t seed,
                     RunRecord& out) const;
 

@@ -101,6 +101,26 @@ struct GoldenPort final : sim::MemoryPort {
   std::vector<std::uint32_t> store;
 };
 
+/// Add a decoder's corrected and uncorrectable words to a ledger row.
+void tally(RunRecord& record, const sim::EccMemoryStats& codec) {
+  record.corrected_words += codec.corrected_words;
+  record.uncorrectable_words += codec.uncorrectable_words;
+}
+
+/// Add an SRAM array's injected flips and stuck bits to a ledger row.
+void tally(RunRecord& record, const sim::SramStats& array) {
+  record.injected_flips +=
+      array.injected_read_flips + array.injected_write_flips;
+  record.stuck_bits += array.stuck_bits;
+}
+
+/// Both, for a memory that owns its array (null: the array is absent).
+void tally(RunRecord& record, const sim::EccMemory* mem) {
+  if (mem == nullptr) return;
+  tally(record, mem->stats());
+  tally(record, mem->array().stats());
+}
+
 }  // namespace
 
 TileMixSpec normalize_tile_mix(TileMixSpec mix) {
@@ -131,8 +151,11 @@ TileMixSpec normalize_tile_mix(TileMixSpec mix) {
           break;
       }
     } else {
-      mix.name = "t" + std::to_string(mix.tiles) + "b" +
-                 std::to_string(mix.banks) + ":";
+      char prefix[32];
+      std::snprintf(prefix, sizeof prefix, "t%ub%u:",
+                    static_cast<unsigned>(mix.tiles),
+                    static_cast<unsigned>(mix.banks));
+      mix.name = prefix;
       for (std::size_t t = 0; t < mix.schemes.size(); ++t) {
         if (t > 0) mix.name += '+';
         mix.name += mitigation::to_string(mix.schemes[t]);
@@ -140,6 +163,20 @@ TileMixSpec normalize_tile_mix(TileMixSpec mix) {
     }
   }
   return mix;
+}
+
+RunOutcome classify_outcome(const RunRecord& record, bool system_failure,
+                            bool output_ok, std::uint64_t faulted_phases) {
+  if (system_failure) return RunOutcome::SystemFailure;
+  const bool detected = record.uncorrectable_words > 0 || faulted_phases > 0;
+  if (!output_ok)
+    return detected ? RunOutcome::DetectedUncorrectable
+                    : RunOutcome::SilentDataCorruption;
+  const bool any_fault_activity =
+      detected || record.corrected_words > 0 || record.injected_flips > 0 ||
+      record.stuck_bits > 0 || record.scenario_events_fired > 0 ||
+      record.ocean_restores > 0;
+  return any_fault_activity ? RunOutcome::Corrected : RunOutcome::Clean;
 }
 
 const char* to_string(RunOutcome outcome) {
@@ -287,36 +324,14 @@ RunRecord CampaignRunner::execute_one(const Scenario& scenario,
   record.snr_db = workloads::snr_db(measured, reference_);
   record.cycles = platform.total_cycles();
 
-  auto tally = [&](const sim::EccMemory* mem) {
-    if (mem == nullptr) return;
-    record.corrected_words += mem->stats().corrected_words;
-    record.uncorrectable_words += mem->stats().uncorrectable_words;
-    record.injected_flips += mem->array().stats().injected_read_flips +
-                             mem->array().stats().injected_write_flips;
-    record.stuck_bits += mem->array().stats().stuck_bits;
-  };
-  tally(&platform.spm());
-  tally(&platform.imem());
-  tally(platform.pm());
+  tally(record, &platform.spm());
+  tally(record, &platform.imem());
+  tally(record, platform.pm());
   record.scenario_events_fired =
       spm_injector.events_fired() + imem_injector.events_fired() +
       (pm_injector != nullptr ? pm_injector->events_fired() : 0);
-
-  const bool output_ok = measured_words == golden_;
-  const bool detected = record.uncorrectable_words > 0 || faulted_phases > 0;
-  const bool any_fault_activity =
-      detected || record.corrected_words > 0 || record.injected_flips > 0 ||
-      record.stuck_bits > 0 || record.scenario_events_fired > 0 ||
-      record.ocean_restores > 0;
-  if (system_failure) {
-    record.outcome = RunOutcome::SystemFailure;
-  } else if (!output_ok) {
-    record.outcome = detected ? RunOutcome::DetectedUncorrectable
-                              : RunOutcome::SilentDataCorruption;
-  } else {
-    record.outcome =
-        any_fault_activity ? RunOutcome::Corrected : RunOutcome::Clean;
-  }
+  record.outcome = classify_outcome(record, system_failure,
+                                    measured_words == golden_, faulted_phases);
   trial_span.set_args(seed, static_cast<std::uint64_t>(record.outcome));
   NTC_TELEM_COUNT("ntc_campaign_trials_total", 1);
   return record;
@@ -419,28 +434,13 @@ RunRecord CampaignRunner::execute_one_tiled(const Scenario& scenario,
   record.cycles = platform.total_cycles();
   record.contention_cycles = platform.contention_cycles();
 
-  for (std::size_t r = 0; r < platform.shared().region_count(); ++r) {
-    const sim::EccMemoryStats& stats = platform.shared().region(r).stats;
-    record.corrected_words += stats.corrected_words;
-    record.uncorrectable_words += stats.uncorrectable_words;
-  }
-  for (std::uint32_t b = 0; b < platform.bank_count(); ++b) {
-    const sim::SramStats& stats = platform.shared().banks().bank(b).stats();
-    record.injected_flips +=
-        stats.injected_read_flips + stats.injected_write_flips;
-    record.stuck_bits += stats.stuck_bits;
-  }
-  auto tally = [&](const sim::EccMemory* mem) {
-    if (mem == nullptr) return;
-    record.corrected_words += mem->stats().corrected_words;
-    record.uncorrectable_words += mem->stats().uncorrectable_words;
-    record.injected_flips += mem->array().stats().injected_read_flips +
-                             mem->array().stats().injected_write_flips;
-    record.stuck_bits += mem->array().stats().stuck_bits;
-  };
+  for (std::size_t r = 0; r < platform.shared().region_count(); ++r)
+    tally(record, platform.shared().region(r).stats);
+  for (std::uint32_t b = 0; b < platform.bank_count(); ++b)
+    tally(record, platform.shared().banks().bank(b).stats());
   for (std::uint32_t t = 0; t < platform.tile_count(); ++t) {
-    tally(&platform.imem(t));
-    tally(platform.pm(t));
+    tally(record, &platform.imem(t));
+    tally(record, platform.pm(t));
   }
   for (const auto& injector : injectors.banks)
     record.scenario_events_fired += injector->events_fired();
@@ -449,21 +449,8 @@ RunRecord CampaignRunner::execute_one_tiled(const Scenario& scenario,
   for (const auto& injector : injectors.pms)
     if (injector) record.scenario_events_fired += injector->events_fired();
 
-  const bool output_ok = measured_words == golden_;
-  const bool detected = record.uncorrectable_words > 0 || faulted_phases > 0;
-  const bool any_fault_activity =
-      detected || record.corrected_words > 0 || record.injected_flips > 0 ||
-      record.stuck_bits > 0 || record.scenario_events_fired > 0 ||
-      record.ocean_restores > 0;
-  if (run.system_failure) {
-    record.outcome = RunOutcome::SystemFailure;
-  } else if (!output_ok) {
-    record.outcome = detected ? RunOutcome::DetectedUncorrectable
-                              : RunOutcome::SilentDataCorruption;
-  } else {
-    record.outcome =
-        any_fault_activity ? RunOutcome::Corrected : RunOutcome::Clean;
-  }
+  record.outcome = classify_outcome(record, run.system_failure,
+                                    measured_words == golden_, faulted_phases);
   trial_span.set_args(seed, static_cast<std::uint64_t>(record.outcome));
   NTC_TELEM_COUNT("ntc_campaign_trials_total", 1);
   return record;

@@ -138,6 +138,14 @@ struct RunRecord {
   std::uint64_t contention_cycles = 0;
 };
 
+/// The outcome rule every engine applies to a finished trial: a system
+/// failure dominates; a wrong output is detected-uncorrectable when the
+/// mitigation flagged it (an uncorrectable word or a faulted phase) and
+/// silent otherwise; an exact output is corrected when the record shows
+/// any fault activity and clean when it shows none.
+RunOutcome classify_outcome(const RunRecord& record, bool system_failure,
+                            bool output_ok, std::uint64_t faulted_phases);
+
 struct CampaignSummary {
   std::uint64_t runs = 0;
   std::uint64_t clean = 0;

@@ -3,6 +3,7 @@
 #include <string>
 
 #include "common/assert.hpp"
+#include "sim/fault_draw.hpp"
 
 namespace ntc::multitile {
 
@@ -37,7 +38,8 @@ BankedMemory::BankedMemory(BankedMemoryConfig config)
                                   energy::MemoryGeometry{per_bank, 32});
     banks_.push_back(std::make_unique<sim::SramModule>(
         name, per_bank, config_.stored_bits, calc.access_model(),
-        calc.retention_model(), config_.vdd, Rng(config_.seed).fork(bank_salt(b)),
+        calc.retention_model(), config_.vdd,
+        sim::array_stream(config_.seed, sim::ArrayKind::Spm, b),
         config_.inject_faults, config_.tables));
   }
 }
@@ -66,7 +68,7 @@ void BankedMemory::reset(std::uint64_t seed, Volt vdd) {
   config_.seed = seed;
   config_.vdd = vdd;
   for (std::uint32_t b = 0; b < config_.banks; ++b)
-    banks_[b]->reset(vdd, Rng(seed).fork(bank_salt(b)));
+    banks_[b]->reset(vdd, sim::array_stream(seed, sim::ArrayKind::Spm, b));
 }
 
 void BankedMemory::set_vdd(Volt vdd) {

@@ -16,9 +16,9 @@
 // and q), and M = 1 degenerates to the identity, which is what makes a
 // 1-bank shared memory byte-identical to the classic flat scratchpad.
 //
-// Bank b's Monte-Carlo stream is Rng(seed).fork(0x20 + (b << 8)): bank
-// 0 draws exactly the classic single-scratchpad stream (salt 0x20), and
-// the <<8 spacing keeps tile/bank salt families disjoint.
+// Bank b draws the scratchpad stream of the salt map in
+// sim/fault_draw.hpp with index b, so bank 0 draws exactly the classic
+// single-scratchpad stream.
 #pragma once
 
 #include <cstdint>
@@ -77,10 +77,6 @@ class BankedMemory {
   void reset(std::uint64_t seed, Volt vdd);
   void set_vdd(Volt vdd);
   void reset_stats();
-
-  static constexpr std::uint64_t bank_salt(std::uint32_t b) {
-    return 0x20 + (static_cast<std::uint64_t>(b) << 8);
-  }
 
  private:
   BankedMemoryConfig config_;

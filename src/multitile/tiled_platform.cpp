@@ -5,6 +5,7 @@
 #include "common/assert.hpp"
 #include "ecc/bch.hpp"
 #include "ecc/hamming.hpp"
+#include "sim/fault_draw.hpp"
 
 namespace ntc::multitile {
 
@@ -63,12 +64,14 @@ TiledPlatform::TiledPlatform(TiledPlatformConfig config)
         protected_imem
             ? static_cast<std::uint32_t>(tile_secded_code()->code_bits())
             : 32,
-        protected_imem ? tile_secded_code() : nullptr, imem_salt(t));
+        protected_imem ? tile_secded_code() : nullptr,
+        sim::array_stream(config_.seed, sim::ArrayKind::Imem, t));
     if (kind == mitigation::SchemeKind::Ocean) {
       tiles_[t].pm = make_private_memory(
           tiles == 1 ? "pm" : "pm" + std::to_string(t), config_.pm_bytes,
           static_cast<std::uint32_t>(tile_bch_code()->code_bits()),
-          tile_bch_code(), pm_salt(t));
+          tile_bch_code(),
+          sim::array_stream(config_.seed, sim::ArrayKind::Pm, t));
     }
     tiles_[t].link = std::make_unique<TileLink>(shared_, arbiter_, t);
   }
@@ -76,13 +79,12 @@ TiledPlatform::TiledPlatform(TiledPlatformConfig config)
 
 std::unique_ptr<sim::EccMemory> TiledPlatform::make_private_memory(
     const std::string& name, std::uint32_t bytes, std::uint32_t stored_bits,
-    std::shared_ptr<const ecc::BlockCode> code, std::uint64_t salt) {
+    std::shared_ptr<const ecc::BlockCode> code, Rng stream) {
   energy::MemoryCalculator calc(config_.memory_style,
                                 energy::MemoryGeometry{bytes / 4, 32});
   auto array = std::make_unique<sim::SramModule>(
       name, bytes / 4, stored_bits, calc.access_model(), calc.retention_model(),
-      config_.vdd, Rng(config_.seed).fork(salt), config_.inject_faults,
-      config_.tables);
+      config_.vdd, stream, config_.inject_faults, config_.tables);
   return std::make_unique<sim::EccMemory>(std::move(array), std::move(code));
 }
 
@@ -141,10 +143,12 @@ void TiledPlatform::reset(std::uint64_t seed, Volt vdd) {
   config_.vdd = vdd;
   shared_.reset(seed, vdd);
   for (std::uint32_t t = 0; t < tile_count(); ++t) {
-    tiles_[t].imem->array().reset(vdd, Rng(seed).fork(imem_salt(t)));
+    tiles_[t].imem->array().reset(
+        vdd, sim::array_stream(seed, sim::ArrayKind::Imem, t));
     tiles_[t].imem->reset_stats();
     if (tiles_[t].pm) {
-      tiles_[t].pm->array().reset(vdd, Rng(seed).fork(pm_salt(t)));
+      tiles_[t].pm->array().reset(
+          vdd, sim::array_stream(seed, sim::ArrayKind::Pm, t));
       tiles_[t].pm->reset_stats();
     }
     tiles_[t].compute_cycles = 0;

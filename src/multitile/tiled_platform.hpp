@@ -15,11 +15,9 @@
 // synchronization point, and the arbiter replays the epoch's merged
 // request streams to charge stalls (see arbiter.hpp).
 //
-// RNG salt map (Rng(seed).fork(salt)):
-//   tile t I-mem   0x10 + (t << 8)
-//   bank b         0x20 + (b << 8)
-//   tile t PM      0x30 + (t << 8)
-// Tile 0 / bank 0 draw exactly the classic Platform streams, which is
+// Tile t's I-mem and PM and bank b of the shared memory draw the
+// streams of the salt map in sim/fault_draw.hpp (index t and b), so
+// tile 0 / bank 0 draw exactly the classic Platform streams: that is
 // what makes a 1-tile/1-bank TiledPlatform campaign ledger
 // byte-identical to the classic path.
 #pragma once
@@ -173,13 +171,6 @@ class TiledPlatform {
   };
   TileHost host(std::uint32_t t) { return TileHost(*this, t); }
 
-  static constexpr std::uint64_t imem_salt(std::uint32_t t) {
-    return 0x10 + (static_cast<std::uint64_t>(t) << 8);
-  }
-  static constexpr std::uint64_t pm_salt(std::uint32_t t) {
-    return 0x30 + (static_cast<std::uint64_t>(t) << 8);
-  }
-
  private:
   struct Tile {
     std::unique_ptr<sim::EccMemory> imem;
@@ -191,7 +182,7 @@ class TiledPlatform {
 
   std::unique_ptr<sim::EccMemory> make_private_memory(
       const std::string& name, std::uint32_t bytes, std::uint32_t stored_bits,
-      std::shared_ptr<const ecc::BlockCode> code, std::uint64_t salt);
+      std::shared_ptr<const ecc::BlockCode> code, Rng stream);
 
   TiledPlatformConfig config_;
   SharedMemory shared_;

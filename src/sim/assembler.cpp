@@ -271,9 +271,8 @@ class Assembler {
       fail(line.number, "expected imm(reg), got '" + token + "'");
       return false;
     }
-    std::string imm_str = trim(token.substr(0, open));
-    if (imm_str.empty()) imm_str = "0";
-    auto v = value_of(line, imm_str);
+    const std::string imm_str = trim(token.substr(0, open));
+    auto v = value_of(line, imm_str.empty() ? std::string("0") : imm_str);
     if (!v) return false;
     imm = static_cast<std::int32_t>(*v);
     rs = parse_register(trim(token.substr(open + 1, close - open - 1)));

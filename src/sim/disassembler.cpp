@@ -6,7 +6,11 @@ namespace ntc::sim {
 
 namespace {
 
-std::string reg(unsigned index) { return "x" + std::to_string(index); }
+std::string reg(unsigned index) {
+  std::string name = "x";
+  name += std::to_string(index);
+  return name;
+}
 
 std::int32_t sign_extend(std::uint32_t value, unsigned bits) {
   const std::uint32_t m = 1u << (bits - 1);

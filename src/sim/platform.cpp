@@ -3,6 +3,7 @@
 #include "common/assert.hpp"
 #include "ecc/bch.hpp"
 #include "ecc/hamming.hpp"
+#include "sim/fault_draw.hpp"
 #include "tech/node.hpp"
 
 namespace ntc::sim {
@@ -84,17 +85,20 @@ void Platform::build_memories() {
   // IM: SECDED under both ECC and OCEAN (fetches must at least detect).
   imem_ = make_memory("imem", config_.imem_bytes,
                       (secded_memories || ocean) ? 39 : 32,
-                      (secded_memories || ocean) ? secded : nullptr, 0x10);
+                      (secded_memories || ocean) ? secded : nullptr,
+                      array_stream(config_.seed, ArrayKind::Imem));
   // SPM: SECDED under ECC and OCEAN — Figure 6 keeps the ECC module in
   // the OCEAN configuration; OCEAN adds rollback for what SECDED can
   // only *detect*, which is how it tolerates the deeper supply.
   spm_ = make_memory("spm", config_.spm_bytes,
                      (secded_memories || ocean) ? 39 : 32,
-                     (secded_memories || ocean) ? secded : nullptr, 0x20);
+                     (secded_memories || ocean) ? secded : nullptr,
+                     array_stream(config_.seed, ArrayKind::Spm));
   pm_.reset();
   if (ocean) {
     pm_ = make_memory("pm", config_.pm_bytes,
-                      static_cast<std::uint32_t>(bch->code_bits()), bch, 0x30);
+                      static_cast<std::uint32_t>(bch->code_bits()), bch,
+                      array_stream(config_.seed, ArrayKind::Pm));
   }
 
   bus_ = Bus(0);
@@ -112,14 +116,14 @@ void Platform::reset(std::uint64_t seed, Volt vdd) {
   NTC_REQUIRE(vdd.value > 0.0);
   config_.seed = seed;
   config_.vdd = vdd;
-  // Salts match make_memory's construction-time streams, so a reset
-  // platform draws exactly what a fresh Platform(config) would.
-  imem_->array().reset(vdd, Rng(seed).fork(0x10));
+  // The streams build_memories hands make_memory, so a reset platform
+  // draws exactly what a fresh Platform(config) would.
+  imem_->array().reset(vdd, array_stream(seed, ArrayKind::Imem));
   imem_->reset_stats();
-  spm_->array().reset(vdd, Rng(seed).fork(0x20));
+  spm_->array().reset(vdd, array_stream(seed, ArrayKind::Spm));
   spm_->reset_stats();
   if (pm_) {
-    pm_->array().reset(vdd, Rng(seed).fork(0x30));
+    pm_->array().reset(vdd, array_stream(seed, ArrayKind::Pm));
     pm_->reset_stats();
   }
   bus_.reset_stats();
@@ -146,12 +150,11 @@ void Platform::reset(std::uint64_t seed, Volt vdd,
 
 std::unique_ptr<EccMemory> Platform::make_memory(
     const std::string& name, std::uint32_t bytes, std::uint32_t stored_bits,
-    std::shared_ptr<const ecc::BlockCode> code, std::uint64_t salt) {
+    std::shared_ptr<const ecc::BlockCode> code, Rng stream) {
   energy::MemoryCalculator calc(config_.memory_style, geometry_for(bytes));
   auto array = std::make_unique<SramModule>(
       name, bytes / 4, stored_bits, calc.access_model(), calc.retention_model(),
-      config_.vdd, Rng(config_.seed).fork(salt), config_.inject_faults,
-      config_.tables);
+      config_.vdd, stream, config_.inject_faults, config_.tables);
   return std::make_unique<EccMemory>(std::move(array), std::move(code));
 }
 

@@ -123,7 +123,7 @@ class Platform {
                                          std::uint32_t bytes,
                                          std::uint32_t stored_bits,
                                          std::shared_ptr<const ecc::BlockCode> code,
-                                         std::uint64_t salt);
+                                         Rng stream);
   /// Build memories, bus map and core from config_ (construction and
   /// scheme-change reset share this).
   void build_memories();

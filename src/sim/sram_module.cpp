@@ -17,8 +17,6 @@ SramModule::SramModule(std::string name, std::uint32_t words,
                        std::shared_ptr<reliability::ModelTableCache> tables)
     : name_(std::move(name)),
       stored_bits_(stored_bits),
-      access_(std::move(access)),
-      retention_(std::move(retention)),
       vdd_(vdd),
       inject_faults_(inject_faults),
       data_(words, 0) {
@@ -26,7 +24,8 @@ SramModule::SramModule(std::string name, std::uint32_t words,
   NTC_REQUIRE(stored_bits >= 1 && stored_bits <= 64);
   if (inject_faults_) {
     stochastic_ = std::make_shared<StochasticInjector>(
-        access_, retention_, rng, words, stored_bits_, std::move(tables));
+        std::move(access), std::move(retention), rng, words, stored_bits_,
+        std::move(tables));
     injectors_.push_back(stochastic_);
   }
   derive_fault_state();
@@ -169,56 +168,39 @@ void SramModule::read_raw_burst(std::uint32_t index, std::uint64_t* out,
                                 std::uint32_t count) {
   NTC_REQUIRE(static_cast<std::uint64_t>(index) + count <= words());
   if (count == 0) return;
+  if (!overlay_cached_ || (flips_possible_ && !stochastic_only())) {
+    // Scripted injectors attached: their hooks see every access in
+    // per-word order (burst events arm on exact access counts).
+    for (std::uint32_t i = 0; i < count; ++i) out[i] = read_raw(index + i);
+    return;
+  }
+  stats_.reads += count;
+  ctx_.access_count += count;
   const std::uint64_t msk = mask();
-  if (!flips_possible_ && overlay_cached_) {
-    // Fault-free fast path: the whole range is a masked copy.
-    stats_.reads += count;
-    ctx_.access_count += count;
-    if (overlay_zero_) {
-      for (std::uint32_t i = 0; i < count; ++i)
-        out[i] = data_[index + i] & msk;
-    } else {
-      for (std::uint32_t i = 0; i < count; ++i) {
-        const std::uint64_t m = overlay_mask_[index + i];
-        out[i] = ((data_[index + i] & ~m) | overlay_value_[index + i]) & msk;
-      }
+  if (overlay_zero_) {
+    for (std::uint32_t i = 0; i < count; ++i) out[i] = data_[index + i] & msk;
+  } else {
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const std::uint64_t m = overlay_mask_[index + i];
+      out[i] = ((data_[index + i] & ~m) | overlay_value_[index + i]) & msk;
     }
-    return;
   }
-  if (injectors_.size() == 1 && stochastic_ && injectors_[0] == stochastic_ &&
-      overlay_cached_) {
-    // Stochastic-only chain: draw the per-word flip masks in word order
-    // (identical stream to per-word access_flips calls) without the
-    // per-access chain walk and virtual dispatch.
-    stats_.reads += count;
-    ctx_.access_count += count;
-    constexpr std::uint32_t kChunk = 64;
-    std::uint64_t flips[kChunk];
-    std::uint64_t flipped_bits = 0;
-    for (std::uint32_t done = 0; done < count;) {
-      const std::uint32_t m = std::min(count - done, kChunk);
-      stochastic_->access_flips_burst(m, flips);
-      for (std::uint32_t i = 0; i < m; ++i) {
-        const std::uint32_t w = index + done + i;
-        const std::uint64_t om = overlay_mask_[w];
-        const std::uint64_t value = (data_[w] & ~om) | overlay_value_[w];
-        flipped_bits +=
-            static_cast<std::uint64_t>(__builtin_popcountll(flips[i]));
-        out[done + i] = (value ^ flips[i]) & msk;
-      }
-      done += m;
-    }
-    stats_.injected_read_flips += flipped_bits;
-    if (flipped_bits > 0) {
-      NTC_TELEM_EVENT(telemetry::EventKind::InjectedFlips, "sram_read_flips",
-                      flipped_bits, count);
-      NTC_TELEM_COUNT("ntc_sram_injected_read_flips_total", flipped_bits);
-    }
-    return;
+  if (!flips_possible_) return;
+  // Stochastic-only chain: the sampler scans the range's flip draws in
+  // bulk (the stream per-word access_flips calls would draw) without
+  // the per-access chain walk and virtual dispatch.
+  std::uint64_t flipped_bits = 0;
+  stochastic_->draw().scan_flips(
+      count, [&](std::uint64_t i, std::uint64_t flips) {
+        out[i] ^= flips;
+        flipped_bits += static_cast<std::uint64_t>(__builtin_popcountll(flips));
+      });
+  stats_.injected_read_flips += flipped_bits;
+  if (flipped_bits > 0) {
+    NTC_TELEM_EVENT(telemetry::EventKind::InjectedFlips, "sram_read_flips",
+                    flipped_bits, count);
+    NTC_TELEM_COUNT("ntc_sram_injected_read_flips_total", flipped_bits);
   }
-  // Scripted injectors attached: their hooks see every access in
-  // per-word order (burst events arm on exact access counts).
-  for (std::uint32_t i = 0; i < count; ++i) out[i] = read_raw(index + i);
 }
 
 void SramModule::write_raw_burst(std::uint32_t index,
@@ -226,42 +208,30 @@ void SramModule::write_raw_burst(std::uint32_t index,
                                  std::uint32_t count) {
   NTC_REQUIRE(static_cast<std::uint64_t>(index) + count <= words());
   if (count == 0) return;
+  if (flips_possible_ && !stochastic_only()) {
+    for (std::uint32_t i = 0; i < count; ++i) write_raw(index + i, values[i]);
+    return;
+  }
+  stats_.writes += count;
+  ctx_.access_count += count;
   const std::uint64_t msk = mask();
-  if (!flips_possible_) {
-    stats_.writes += count;
-    ctx_.access_count += count;
-    for (std::uint32_t i = 0; i < count; ++i) {
-      NTC_REQUIRE((values[i] & ~msk) == 0);
-      data_[index + i] = values[i];
-    }
-    return;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    NTC_REQUIRE((values[i] & ~msk) == 0);
+    data_[index + i] = values[i];
   }
-  if (injectors_.size() == 1 && stochastic_ && injectors_[0] == stochastic_) {
-    stats_.writes += count;
-    ctx_.access_count += count;
-    constexpr std::uint32_t kChunk = 64;
-    std::uint64_t flips[kChunk];
-    std::uint64_t flipped_bits = 0;
-    for (std::uint32_t done = 0; done < count;) {
-      const std::uint32_t m = std::min(count - done, kChunk);
-      stochastic_->access_flips_burst(m, flips);
-      for (std::uint32_t i = 0; i < m; ++i) {
-        NTC_REQUIRE((values[done + i] & ~msk) == 0);
-        flipped_bits +=
-            static_cast<std::uint64_t>(__builtin_popcountll(flips[i]));
-        data_[index + done + i] = (values[done + i] ^ flips[i]) & msk;
-      }
-      done += m;
-    }
-    stats_.injected_write_flips += flipped_bits;
-    if (flipped_bits > 0) {
-      NTC_TELEM_EVENT(telemetry::EventKind::InjectedFlips, "sram_write_flips",
-                      flipped_bits, count);
-      NTC_TELEM_COUNT("ntc_sram_injected_write_flips_total", flipped_bits);
-    }
-    return;
+  if (!flips_possible_) return;
+  std::uint64_t flipped_bits = 0;
+  stochastic_->draw().scan_flips(
+      count, [&](std::uint64_t i, std::uint64_t flips) {
+        data_[index + i] ^= flips;
+        flipped_bits += static_cast<std::uint64_t>(__builtin_popcountll(flips));
+      });
+  stats_.injected_write_flips += flipped_bits;
+  if (flipped_bits > 0) {
+    NTC_TELEM_EVENT(telemetry::EventKind::InjectedFlips, "sram_write_flips",
+                    flipped_bits, count);
+    NTC_TELEM_COUNT("ntc_sram_injected_write_flips_total", flipped_bits);
   }
-  for (std::uint32_t i = 0; i < count; ++i) write_raw(index + i, values[i]);
 }
 
 void SramModule::write_raw(std::uint32_t index, std::uint64_t value) {

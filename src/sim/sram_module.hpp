@@ -113,11 +113,12 @@ class SramModule {
   std::uint64_t gather_flips(AccessKind kind, std::uint32_t index,
                              const FaultContext& ctx);
   void derive_fault_state();
+  /// The chain is the stochastic model alone (it is always attached
+  /// first), so bursts may draw its flips in bulk.
+  bool stochastic_only() const { return injectors_.size() == 1 && stochastic_; }
 
   std::string name_;
   std::uint32_t stored_bits_;
-  reliability::AccessErrorModel access_;
-  reliability::NoiseMarginModel retention_;
   Volt vdd_;
   bool inject_faults_;
 

@@ -2,6 +2,8 @@
 // FIT) — the top-of-stack consistency checks.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "core/system.hpp"
 
 namespace ntc::core {
@@ -59,8 +61,10 @@ TEST_P(SystemClockSweep, PowerBreakdownPositive) {
 INSTANTIATE_TEST_SUITE_P(Clocks, SystemClockSweep,
                          ::testing::Values(100e3, 290e3, 1.96e6, 5e6),
                          [](const auto& info) {
-                           return "f" + std::to_string(static_cast<int>(
-                                            info.param / 1e3)) + "kHz";
+                           char name[32];
+                           std::snprintf(name, sizeof name, "f%dkHz",
+                                         static_cast<int>(info.param / 1e3));
+                           return std::string(name);
                          });
 
 TEST(NtcSystem, SavingsShrinkAtHigherClocks) {

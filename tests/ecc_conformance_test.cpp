@@ -6,6 +6,8 @@
 
 #include <functional>
 #include <memory>
+#include <ostream>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "ecc/bch.hpp"
@@ -21,9 +23,19 @@ struct CodeCase {
   std::function<std::unique_ptr<BlockCode>()> make;
 };
 
-class BlockCodeConformance : public ::testing::TestWithParam<CodeCase> {
+/// A CodeCase that prints as its label.  gtest copies a parameter's
+/// printout into every ctest name, and a bare CodeCase prints its raw
+/// bytes, which start with a heap address and so change on every build.
+struct LabeledCodeCase : CodeCase {};
+
+std::ostream& operator<<(std::ostream& os, const LabeledCodeCase& c) {
+  return os << c.label;
+}
+
+template <typename Case>
+class CodeFixture : public ::testing::TestWithParam<Case> {
  protected:
-  std::unique_ptr<BlockCode> code_ = GetParam().make();
+  std::unique_ptr<BlockCode> code_ = this->GetParam().make();
 
   std::uint64_t random_data(Rng& rng) const {
     const std::size_t k = code_->data_bits();
@@ -31,7 +43,10 @@ class BlockCodeConformance : public ::testing::TestWithParam<CodeCase> {
   }
 };
 
-TEST_P(BlockCodeConformance, ParameterSanity) {
+using BlockCodeConformance = CodeFixture<CodeCase>;
+using BlockCodeBasics = CodeFixture<LabeledCodeCase>;
+
+TEST_P(BlockCodeBasics, ParameterSanity) {
   EXPECT_GE(code_->data_bits(), 8u);
   EXPECT_LE(code_->data_bits(), 64u);
   EXPECT_GT(code_->code_bits(), code_->data_bits());
@@ -42,7 +57,7 @@ TEST_P(BlockCodeConformance, ParameterSanity) {
   EXPECT_FALSE(code_->name().empty());
 }
 
-TEST_P(BlockCodeConformance, CleanRoundTrip) {
+TEST_P(BlockCodeBasics, CleanRoundTrip) {
   Rng rng(11);
   for (int i = 0; i < 200; ++i) {
     const std::uint64_t data = random_data(rng);
@@ -117,34 +132,42 @@ TEST_P(BlockCodeConformance, NeverSilentlyWrongWithinDetectionRadius) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllCodes, BlockCodeConformance,
-    ::testing::Values(
-        CodeCase{"Hamming8", [] { return std::make_unique<HammingSecded>(8); }},
-        CodeCase{"Hamming16",
-                 [] { return std::make_unique<HammingSecded>(16); }},
-        CodeCase{"Hamming32",
-                 [] { return std::make_unique<HammingSecded>(32); }},
-        CodeCase{"Hamming48",
-                 [] { return std::make_unique<HammingSecded>(48); }},
-        CodeCase{"Hamming64",
-                 [] { return std::make_unique<HammingSecded>(64); }},
-        CodeCase{"Hsiao16", [] { return std::make_unique<HsiaoSecded>(16); }},
-        CodeCase{"Hsiao32", [] { return std::make_unique<HsiaoSecded>(32); }},
-        CodeCase{"Hsiao64", [] { return std::make_unique<HsiaoSecded>(64); }},
-        CodeCase{"Bch_t1", [] { return std::make_unique<BchCode>(6, 1, 32); }},
-        CodeCase{"Bch_t2", [] { return std::make_unique<BchCode>(6, 2, 32); }},
-        CodeCase{"Bch_t3", [] { return std::make_unique<BchCode>(6, 3, 32); }},
-        CodeCase{"Bch_t4", [] { return std::make_unique<BchCode>(6, 4, 32); }},
-        CodeCase{"Bch_t5", [] { return std::make_unique<BchCode>(6, 5, 32); }},
-        CodeCase{"Bch_gf256_t3",
-                 [] { return std::make_unique<BchCode>(8, 3, 64); }},
-        CodeCase{"Interleaved4x16",
-                 [] {
-                   return std::make_unique<InterleavedCode>(
-                       interleaved_secded_4x16());
-                 }}),
-    [](const auto& info) { return info.param.label; });
+std::vector<CodeCase> all_codes() {
+  return {
+      CodeCase{"Hamming8", [] { return std::make_unique<HammingSecded>(8); }},
+      CodeCase{"Hamming16", [] { return std::make_unique<HammingSecded>(16); }},
+      CodeCase{"Hamming32", [] { return std::make_unique<HammingSecded>(32); }},
+      CodeCase{"Hamming48", [] { return std::make_unique<HammingSecded>(48); }},
+      CodeCase{"Hamming64", [] { return std::make_unique<HammingSecded>(64); }},
+      CodeCase{"Hsiao16", [] { return std::make_unique<HsiaoSecded>(16); }},
+      CodeCase{"Hsiao32", [] { return std::make_unique<HsiaoSecded>(32); }},
+      CodeCase{"Hsiao64", [] { return std::make_unique<HsiaoSecded>(64); }},
+      CodeCase{"Bch_t1", [] { return std::make_unique<BchCode>(6, 1, 32); }},
+      CodeCase{"Bch_t2", [] { return std::make_unique<BchCode>(6, 2, 32); }},
+      CodeCase{"Bch_t3", [] { return std::make_unique<BchCode>(6, 3, 32); }},
+      CodeCase{"Bch_t4", [] { return std::make_unique<BchCode>(6, 4, 32); }},
+      CodeCase{"Bch_t5", [] { return std::make_unique<BchCode>(6, 5, 32); }},
+      CodeCase{"Bch_gf256_t3",
+               [] { return std::make_unique<BchCode>(8, 3, 64); }},
+      CodeCase{"Interleaved4x16", [] {
+                 return std::make_unique<InterleavedCode>(
+                     interleaved_secded_4x16());
+               }}};
+}
+
+std::vector<LabeledCodeCase> all_labeled_codes() {
+  std::vector<LabeledCodeCase> labeled;
+  for (CodeCase& c : all_codes())
+    labeled.push_back(LabeledCodeCase{std::move(c)});
+  return labeled;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllCodes, BlockCodeBasics,
+                         ::testing::ValuesIn(all_labeled_codes()),
+                         [](const auto& info) { return info.param.label; });
+INSTANTIATE_TEST_SUITE_P(AllCodes, BlockCodeConformance,
+                         ::testing::ValuesIn(all_codes()),
+                         [](const auto& info) { return info.param.label; });
 
 }  // namespace
 }  // namespace ntc::ecc

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 
 #include "common/math.hpp"
 #include "mitigation/comparison.hpp"
@@ -83,8 +84,10 @@ TEST_P(FrequencySweep, ChosenVoltageSustainsTheClock) {
 INSTANTIATE_TEST_SUITE_P(Clocks, FrequencySweep,
                          ::testing::Values(50e3, 290e3, 1.0e6, 1.96e6, 8e6),
                          [](const auto& info) {
-                           return "f" + std::to_string(static_cast<int>(
-                                            info.param / 1e3)) + "kHz";
+                           char name[32];
+                           std::snprintf(name, sizeof name, "f%dkHz",
+                                         static_cast<int>(info.param / 1e3));
+                           return std::string(name);
                          });
 
 TEST(WordFailureSweep, MonotonicInPbitAndThreshold) {

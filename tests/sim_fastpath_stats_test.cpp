@@ -68,7 +68,7 @@ TEST(SramFastPath, IdenticalToSlowPathAcrossVoltageSweep) {
 TEST(SramFastPath, SweptStuckSetMatchesFreshModuleAtSameVoltage) {
   // Walking a module down and back up must land on exactly the stuck
   // set a fresh same-seed module derives at that voltage — this guards
-  // the incremental V_min bookkeeping inside StochasticInjector.
+  // the incremental V_min bookkeeping inside the array's FaultDraw.
   for (const double v : {0.60, 0.44, 0.40, 0.50}) {
     SramModule swept = make_sram(Volt{0.60}, /*inject=*/true, 7);
     swept.set_vdd(Volt{0.38});
