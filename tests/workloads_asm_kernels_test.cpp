@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "sim/assembler.hpp"
 #include "sim/platform.hpp"
 
@@ -81,8 +83,10 @@ TEST_P(KernelsAtOperatingPoints, SecdedKeepsSoftwareExactAtTable2Voltages) {
 INSTANTIATE_TEST_SUITE_P(Table2Points, KernelsAtOperatingPoints,
                          ::testing::Values(0.55, 0.44),
                          [](const auto& info) {
-                           return "V" + std::to_string(static_cast<int>(
-                                            info.param * 100));
+                           char name[16];
+                           std::snprintf(name, sizeof name, "V%d",
+                                         static_cast<int>(info.param * 100));
+                           return std::string(name);
                          });
 
 TEST(AsmKernels, DeepVoltageCorruptsUnprotectedSoftware) {
