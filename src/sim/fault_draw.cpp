@@ -1,7 +1,5 @@
 #include "sim/fault_draw.hpp"
 
-#include "common/assert.hpp"
-
 namespace ntc::sim {
 
 FaultDraw::FaultDraw(reliability::AccessErrorModel access,

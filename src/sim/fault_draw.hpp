@@ -32,6 +32,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "common/units.hpp"
@@ -109,6 +110,7 @@ class FaultDraw {
   /// p_access() > 0.
   template <typename OnFlip>
   void scan_flips(std::uint64_t count, OnFlip&& on_flip) {
+    NTC_REQUIRE(p_access_ > 0.0);
     // One fill_u64 per chunk supplies the gate uniforms of up to
     // kGateChunk accesses.  A chunk with no flip, the common case at
     // campaign supplies, consumes one engine step per access, exactly
