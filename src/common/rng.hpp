@@ -58,8 +58,8 @@ class Rng {
   Rng fork(std::uint64_t tag) const;
 
   /// The seed this engine was constructed with: together with the draw
-  /// history it identifies the stream, so immutable per-seed tables
-  /// (e.g. the shared retention fingerprints) can key on it.
+  /// history it identifies the stream, so a consumer can restart a
+  /// fork's stream from it (e.g. a retention fingerprint's deviates).
   std::uint64_t seed() const { return seed_; }
 
   /// Conservative upper bound on |normal()|: Box-Muller over 53-bit

@@ -17,9 +17,9 @@
 //
 // Runs execute on a persistent work-stealing Executor; each worker owns
 // a private PlatformPool (platform arenas are reused across grid cells
-// via Platform::reset) and every platform shares one immutable
-// ModelTableCache, so throughput scales with the grid instead of with
-// platform construction.  Every run's state is a pure function of its
+// via Platform::reset) and every platform shares one ModelTableCache
+// (the access-curve memo), so throughput scales with the grid instead
+// of with platform construction.  Every run's state is a pure function of its
 // grid cell — a reused platform is reset to exactly the state a fresh
 // one would have — so the ledger is byte-identical whatever the thread
 // count, whoever stole which cell, and however often run() is repeated.
@@ -253,7 +253,7 @@ class CampaignRunner {
   bool golden_computed_ = false;
   std::vector<RunRecord> records_;
 
-  /// Campaign-wide immutable model tables shared by every platform.
+  /// Campaign-wide access-curve memo shared by every platform.
   std::shared_ptr<reliability::ModelTableCache> tables_;
   /// Trace-replay batch engine (built at prepare(); one per runner so
   /// captured traces are shared by every worker).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
@@ -23,9 +24,8 @@ std::shared_ptr<const RetentionVminTable> make_retention_vmin_table(
     std::size_t cells) {
   NTC_REQUIRE(cells > 0);
   auto table = std::make_shared<RetentionVminTable>();
-  // The deviate stream and its float narrowing reproduce the original
-  // per-instance fingerprint draw exactly; only the storage order (and
-  // the cell_desc inverse) is new.
+  // Cell c's deviate is the c-th normal() of the stream, narrowed
+  // through float; the sort is only the table's storage order.
   std::vector<double> vmin(cells);
   Rng sigma_rng(sigma_seed);
   for (auto& v : vmin) {
@@ -48,12 +48,45 @@ std::shared_ptr<const RetentionVminTable> make_retention_vmin_table(
   return table;
 }
 
-std::size_t ModelTableCache::KeyHash::operator()(const VminKey& key) const {
-  std::uint64_t h = 0x9e3779b97f4a7c15ull;
-  for (std::uint64_t v : {key.c0, key.c1, key.c2, key.sigma_seed, key.cells}) {
-    h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+std::vector<FailingCell> retention_failing_cells(
+    const NoiseMarginModel& retention, std::uint64_t sigma_seed,
+    std::size_t cells, Volt vdd) {
+  NTC_REQUIRE(cells > 0);
+  // A cell fails (V_min > vdd) iff its deviate lies below
+  // s* = (-c1 - c0 vdd) / c2.  Rng::normal() turns a pair of uniforms
+  // (u1, u2) into two deviates bounded by the pair's radius
+  // sqrt(-2 ln u1), so while s* < 0 a pair can hold a failing cell only
+  // if u1 < exp(-s*^2 / 2).  The relative pads on s* and on that limit
+  // absorb the float narrowing (2^-24) and the rounding of log, sqrt,
+  // sin, cos, exp and the V_min evaluation, so the filter never drops a
+  // failing cell; the exact vmin > vdd test runs on the candidates.
+  // Below the half-fail voltage s* >= 0 and every pair is a candidate.
+  const double s_star =
+      (-retention.c1() - retention.c0() * vdd.value) / retention.c2();
+  double limit = 2.0;  // above every u1 in (0, 1]
+  if (s_star < 0.0) {
+    const double radius = -s_star * (1.0 - 1e-6);
+    limit = std::exp(-0.5 * radius * radius) * (1.0 + 1e-6);
   }
-  return static_cast<std::size_t>(h);
+  std::vector<FailingCell> failing;
+  Rng rng(sigma_seed);
+  for (std::size_t first = 0; first < cells; first += 2) {
+    const Rng at_pair = rng;
+    const double u1 = 1.0 - rng.uniform();  // as Rng::normal() draws it
+    rng.next_u64();                         // u2
+    if (u1 >= limit) continue;
+    // Rewind and let Rng::normal() evaluate the pair: cell `first` takes
+    // its first deviate, cell first + 1 the cached second.
+    Rng pair = at_pair;
+    const std::size_t end = std::min(first + 2, cells);
+    for (std::size_t cell = first; cell < end; ++cell) {
+      const double sigma = static_cast<float>(pair.normal());
+      const double vmin = retention.cell_retention_vmin(sigma).value;
+      if (vmin > vdd.value)
+        failing.push_back({static_cast<std::uint32_t>(cell), vmin});
+    }
+  }
+  return failing;
 }
 
 std::size_t ModelTableCache::KeyHash::operator()(const AccessKey& key) const {
@@ -62,25 +95,6 @@ std::size_t ModelTableCache::KeyHash::operator()(const AccessKey& key) const {
     h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
   }
   return static_cast<std::size_t>(h);
-}
-
-std::shared_ptr<const RetentionVminTable> ModelTableCache::retention_vmin(
-    const NoiseMarginModel& retention, std::uint64_t sigma_seed,
-    std::size_t cells) {
-  const VminKey key{std::bit_cast<std::uint64_t>(retention.c0()),
-                    std::bit_cast<std::uint64_t>(retention.c1()),
-                    std::bit_cast<std::uint64_t>(retention.c2()), sigma_seed,
-                    cells};
-  // The draw runs under the lock: a cold key is computed exactly once
-  // even when several workers demand it simultaneously, and the draw is
-  // milliseconds against a campaign of seconds.
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = vmin_.find(key);
-  if (it == vmin_.end())
-    it = vmin_.emplace(key, make_retention_vmin_table(retention, sigma_seed,
-                                                      cells))
-             .first;
-  return it->second;
 }
 
 double ModelTableCache::p_access(const AccessErrorModel& access, Volt vdd) {
@@ -93,11 +107,6 @@ double ModelTableCache::p_access(const AccessErrorModel& access, Volt vdd) {
   if (it == access_.end())
     it = access_.emplace(key, access.p_bit_err(vdd)).first;
   return it->second;
-}
-
-std::size_t ModelTableCache::vmin_tables() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return vmin_.size();
 }
 
 std::size_t ModelTableCache::access_points() const {

@@ -19,6 +19,7 @@ FaultDraw::FaultDraw(reliability::AccessErrorModel access,
   const double bound = Rng::max_normal_magnitude();
   lazy_safe_vdd_ = std::max(retention_.cell_retention_vmin(-bound).value,
                             retention_.cell_retention_vmin(bound).value);
+  failing_vdd_ = lazy_safe_vdd_;
 }
 
 void FaultDraw::reseed(Rng stream) {
@@ -30,33 +31,32 @@ void FaultDraw::set_vdd(Volt vdd) {
                       : access_.p_bit_err(vdd);
   gate_threshold_ = simd::gate_threshold(
       std::pow(1.0 - p_access_, static_cast<double>(stored_bits_)));
-  if (!vmin_) {
-    if (vdd.value >= lazy_safe_vdd_) return;  // failing set provably empty
-    // fork() depends only on the stream's seed, so keying the table on
-    // it consumes nothing from the flip stream.
-    const std::uint64_t sigma_seed = stream_.fork(0x51d3).seed();
-    const std::size_t cells = static_cast<std::size_t>(words_) * stored_bits_;
-    vmin_ = tables_ ? tables_->retention_vmin(retention_, sigma_seed, cells)
-                    : reliability::make_retention_vmin_table(retention_,
-                                                             sigma_seed, cells);
+  if (vdd.value < failing_vdd_) {
+    // fork() depends only on the stream's seed, so the pass consumes
+    // nothing from the flip stream.
+    failing_ = reliability::retention_failing_cells(
+        retention_, stream_.fork(0x51d3).seed(),
+        static_cast<std::size_t>(words_) * stored_bits_, vdd);
+    failing_vdd_ = vdd.value;
   }
-  const std::size_t count = vmin_->failing_count(vdd);
-  if (count != stuck_bits_) draw_stuck(count);
+  // At or above failing_vdd_ the failing set is the part of failing_
+  // whose V_min exceeds the supply.
+  const std::size_t count = static_cast<std::size_t>(std::count_if(
+      failing_.begin(), failing_.end(),
+      [&](const reliability::FailingCell& f) { return f.vmin > vdd.value; }));
+  if (count != stuck_bits_) draw_stuck(vdd, count);
 }
 
-void FaultDraw::draw_stuck(std::size_t count) {
+void FaultDraw::draw_stuck(Volt vdd, std::size_t count) {
   stuck_.clear();
   stuck_bits_ = count;
   if (count == 0) return;
-  // The failing cells are the first `count` of the descending-V_min
-  // table; their values are drawn in ascending cell order.
-  std::vector<std::uint32_t> cells(vmin_->cell_desc.begin(),
-                                   vmin_->cell_desc.begin() + count);
-  std::sort(cells.begin(), cells.end());
+  // The failing cells' values are drawn in ascending cell order.
   Rng values = stream_.fork(0x57);
-  for (const std::uint32_t cell : cells) {
-    const std::uint32_t word = cell / stored_bits_;
-    const std::uint64_t bit = std::uint64_t{1} << (cell % stored_bits_);
+  for (const reliability::FailingCell& f : failing_) {
+    if (f.vmin <= vdd.value) continue;
+    const std::uint32_t word = f.cell / stored_bits_;
+    const std::uint64_t bit = std::uint64_t{1} << (f.cell % stored_bits_);
     if (stuck_.empty() || stuck_.back().word != word)
       stuck_.push_back(StuckWord{word, 0, 0});
     stuck_.back().mask |= bit;

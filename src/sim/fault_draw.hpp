@@ -8,15 +8,18 @@
 //   * retention faults (Eq. 4): cells whose retention V_min (the
 //     Gaussian noise-margin population, Eq. 2) exceeds the supply are
 //     stuck at a random value.  The per-cell deviates are the instance's
-//     silicon fingerprint and persist across supply changes, so the same
-//     cells fail first every time the rail droops.  The fingerprint is
+//     silicon fingerprint, drawn from one fork of the stream, and
+//     persist across supply changes, so the same cells fail first every
+//     time the rail droops.  The fingerprint is never drawn whole:
 //       - lazy: Box-Muller deviates over 53-bit uniforms are bounded
 //         (|sigma| <= Rng::max_normal_magnitude()), so a supply at or
 //         above the V_min that bound implies provably retains every cell
-//         and the fingerprint is never drawn;
-//       - shared: keyed on the seed of one fork of the stream through
-//         a reliability::ModelTableCache, so every platform with the
-//         same seed reuses one immutable table.
+//         and nothing is drawn;
+//       - filtered: below that, one pass over the deviate stream
+//         (reliability::retention_failing_cells) returns just the
+//         failing cells.  The sampler keeps them for the lowest supply
+//         seen; a higher supply filters that list, a lower one re-runs
+//         the pass.
 //     Stuck values are drawn from a second fork, in ascending cell
 //     order;
 //   * access faults (Eq. 5): every access flips each stored bit with
@@ -29,7 +32,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -67,17 +69,17 @@ struct StuckWord {
 
 class FaultDraw {
  public:
-  /// `tables`, when non-null, must outlive the sampler: fingerprints and
-  /// access-curve points are then fetched from it instead of computed
-  /// per instance (bit-identical either way).
+  /// `tables`, when non-null, must outlive the sampler: access-curve
+  /// points are then fetched from it instead of computed per instance
+  /// (bit-identical either way).
   FaultDraw(reliability::AccessErrorModel access,
             reliability::NoiseMarginModel retention, std::uint32_t words,
             std::uint32_t stored_bits, reliability::ModelTableCache* tables,
             Rng stream);
 
   /// Restart as a freshly constructed sampler over `stream`: no
-  /// fingerprint, no stuck cells, zero access rate, untouched flip
-  /// stream.  Call set_vdd() afterwards.
+  /// failing-cell list, no stuck cells, zero access rate, untouched
+  /// flip stream.  Call set_vdd() afterwards.
   void reseed(Rng stream);
 
   /// Re-derive the fault state at supply `vdd`.  The failing set is
@@ -166,7 +168,7 @@ class FaultDraw {
     return flips;
   }
 
-  void draw_stuck(std::size_t count);
+  void draw_stuck(Volt vdd, std::size_t count);
 
   reliability::AccessErrorModel access_;
   reliability::NoiseMarginModel retention_;
@@ -184,9 +186,11 @@ class FaultDraw {
   /// (simd::gate_threshold keeps this exact against the double compare).
   std::uint64_t gate_threshold_ = std::uint64_t{1} << 53;
 
-  /// The fingerprint, null until a supply below lazy_safe_vdd_ forces it
-  /// into existence.
-  std::shared_ptr<const reliability::RetentionVminTable> vmin_;
+  /// The cells failing at failing_vdd_, the lowest supply drawn so far,
+  /// in ascending cell order.  It starts as the (provably empty) list at
+  /// lazy_safe_vdd_.
+  std::vector<reliability::FailingCell> failing_;
+  double failing_vdd_ = 0.0;
   std::vector<StuckWord> stuck_;
   std::size_t stuck_bits_ = 0;
 };

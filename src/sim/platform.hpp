@@ -43,9 +43,9 @@ struct PlatformConfig {
   std::uint32_t pm_bytes = 1024;  ///< OCEAN protected buffer
   std::uint64_t seed = 1;
   bool inject_faults = true;
-  /// Optional campaign-wide cache of immutable model tables (retention
-  /// fingerprints, access-error curve points) shared by every platform
-  /// handed the same cache.  Null keeps the models platform-private.
+  /// Optional campaign-wide memo of the access-error curve shared by
+  /// every platform handed the same cache.  Null keeps the model
+  /// evaluations platform-private.
   std::shared_ptr<reliability::ModelTableCache> tables;
 };
 

@@ -38,8 +38,8 @@ class SramModule {
   /// `stored_bits` <= 64 per word (39 for SECDED codewords, 56 for the
   /// BCH-protected buffer).  Fault injection can be disabled for
   /// golden-reference runs (no stochastic injector is attached then).
-  /// `tables`, when given, is a campaign-wide cache the stochastic
-  /// injector fetches its (immutable) model tables from instead of
+  /// `tables`, when given, is a campaign-wide memo the stochastic
+  /// injector fetches its access-curve points from instead of
   /// recomputing them per instance.
   SramModule(std::string name, std::uint32_t words, std::uint32_t stored_bits,
              reliability::AccessErrorModel access,

@@ -26,7 +26,6 @@ namespace ntc::telemetry {
 
 namespace detail {
 std::atomic<bool> g_enabled{false};
-thread_local int t_muted = 0;
 }
 
 // ---------------------------------------------------------------------------

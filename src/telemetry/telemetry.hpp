@@ -90,7 +90,10 @@ struct TraceEvent {
 
 namespace detail {
 extern std::atomic<bool> g_enabled;
-extern thread_local int t_muted;
+/// ScopedMute depth of the calling thread.  Inline, not extern: GCC 12
+/// reaches an extern thread_local through a TLS wrapper in which UBSan
+/// reports null-pointer loads and stores.
+inline thread_local int t_muted = 0;
 }
 
 /// Runtime enable flag on top of the compile-time switch.  Off by
