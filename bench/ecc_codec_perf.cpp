@@ -4,6 +4,8 @@
 // quantifies the BCH decode cost OCEAN pays only on restores.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "common/rng.hpp"
 #include "ecc/bch.hpp"
 #include "ecc/crc.hpp"
@@ -44,6 +46,43 @@ void decode_loop(benchmark::State& state, const Code& code, int errors) {
   state.SetItemsProcessed(state.iterations());
 }
 
+/// The burst-path lanes over one 256-word chunk (EccMemory's codec
+/// chunk), clean codewords: encode_words, then decode_words of its
+/// output.
+constexpr std::size_t kLaneWords = 256;
+
+std::vector<std::uint32_t> lane_data() {
+  Rng rng(4);
+  std::vector<std::uint32_t> data(kLaneWords);
+  for (auto& d : data) d = static_cast<std::uint32_t>(rng.next_u64());
+  return data;
+}
+
+void encode_words_loop(benchmark::State& state, const BlockCode& code) {
+  const std::vector<std::uint32_t> data = lane_data();
+  std::vector<std::uint64_t> raw(kLaneWords);
+  for (auto _ : state) {
+    code.encode_words(data.data(), kLaneWords, raw.data());
+    benchmark::DoNotOptimize(raw.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kLaneWords);
+}
+
+void decode_words_loop(benchmark::State& state, const BlockCode& code) {
+  const std::vector<std::uint32_t> data = lane_data();
+  std::vector<std::uint64_t> raw(kLaneWords);
+  code.encode_words(data.data(), kLaneWords, raw.data());
+  std::vector<std::uint32_t> out(kLaneWords);
+  BatchDecodeSummary summary;
+  for (auto _ : state) {
+    code.decode_words(raw.data(), kLaneWords, out.data(), summary);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kLaneWords);
+}
+
 void BM_SecdedEncode(benchmark::State& state) {
   HammingSecded code(32);
   encode_loop(state, code);
@@ -76,6 +115,18 @@ void BM_BchDecodeT(benchmark::State& state) {
   BchCode code = ocean_buffer_code();
   decode_loop(state, code, static_cast<int>(state.range(0)));
 }
+void BM_SecdedEncodeWords256(benchmark::State& state) {
+  encode_words_loop(state, HammingSecded(32));
+}
+void BM_SecdedDecodeWords256(benchmark::State& state) {
+  decode_words_loop(state, HammingSecded(32));
+}
+void BM_BchEncodeWords256(benchmark::State& state) {
+  encode_words_loop(state, ocean_buffer_code());
+}
+void BM_BchDecodeWords256(benchmark::State& state) {
+  decode_words_loop(state, ocean_buffer_code());
+}
 void BM_InterleavedDecodeBurst4(benchmark::State& state) {
   InterleavedCode code = interleaved_secded_4x16();
   Bits word = code.encode(0xFEEDFACEDEADBEEFull);
@@ -99,6 +150,10 @@ BENCHMARK(BM_HsiaoDecodeCorrect);
 BENCHMARK(BM_BchEncode);
 BENCHMARK(BM_BchDecodeClean);
 BENCHMARK(BM_BchDecodeT)->Arg(1)->Arg(2)->Arg(3)->Arg(4);
+BENCHMARK(BM_SecdedEncodeWords256);
+BENCHMARK(BM_SecdedDecodeWords256);
+BENCHMARK(BM_BchEncodeWords256);
+BENCHMARK(BM_BchDecodeWords256);
 BENCHMARK(BM_InterleavedDecodeBurst4);
 BENCHMARK(BM_Crc32Chunk)->Arg(64)->Arg(1024);
 

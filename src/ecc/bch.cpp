@@ -84,22 +84,18 @@ BchCode::BchCode(unsigned m, unsigned t, std::size_t data_bits)
       syndrome_rows_[j * 2 * t_ + i - 1] =
           field_.alpha_pow(static_cast<long long>(i) * static_cast<long long>(j));
 
-  // Byte-wise remainder table for the systematic encoder (the standard
-  // CRC table construction over g(x)); needs r >= 8 so a whole input
-  // byte fits above the remainder top.
-  if (parity_bits_ >= 8) {
-    const std::uint64_t mask = (std::uint64_t{1} << parity_bits_) - 1;
-    encode_table_.resize(256);
-    for (unsigned byte = 0; byte < 256; ++byte) {
-      std::uint64_t rem = static_cast<std::uint64_t>(byte)
-                          << (parity_bits_ - 8);
-      for (int step = 0; step < 8; ++step) {
-        const std::uint64_t top = (rem >> (parity_bits_ - 1)) & 1u;
-        rem = (rem << 1) & mask;
-        if (top) rem ^= generator_ & mask;
-      }
-      encode_table_[byte] = rem;
-    }
+  // Systematic parity table: data bit j contributes x^(r+j) mod g(x),
+  // and a byte's entry is the XOR over its set bits.
+  const std::size_t data_bytes = (data_bits_ + 7) / 8;
+  parity_table_.assign(data_bytes * 256, 0);
+  std::uint64_t bit_parity = generator_ ^ (std::uint64_t{1} << parity_bits_);
+  for (std::size_t j = 0; j < data_bits_; ++j) {
+    std::uint64_t* byte_table = &parity_table_[(j / 8) * 256];
+    const unsigned bit = static_cast<unsigned>(1u << (j % 8));
+    for (unsigned v = 0; v < 256; ++v)
+      if (v & bit) byte_table[v] ^= bit_parity;
+    bit_parity <<= 1;
+    if ((bit_parity >> parity_bits_) & 1u) bit_parity ^= generator_;
   }
 }
 
@@ -109,43 +105,66 @@ std::string BchCode::name() const {
 }
 
 std::uint64_t BchCode::parity_of(std::uint64_t data) const {
-  // Systematic encoding: parity = (data(x) * x^r) mod g(x).
-  // data_bits_ + parity_bits_ can exceed 64, so shift via repeated
-  // modular reduction: process data MSB-first accumulating the CRC-like
-  // remainder.
-  const std::uint64_t mask = (std::uint64_t{1} << parity_bits_) - 1;
-  std::uint64_t rem = 0;
-  std::size_t i = data_bits_;
-  // Leading bits that do not fill a whole byte go through the bit-serial
-  // step; the byte table then consumes eight bits per iteration.
-  std::size_t head = encode_table_.empty() ? data_bits_ : data_bits_ % 8;
-  while (head-- > 0) {
-    --i;
-    const std::uint64_t in_bit = (data >> i) & 1u;
-    const std::uint64_t top = (rem >> (parity_bits_ - 1)) & 1u;
-    rem = (rem << 1) & mask;
-    if (top ^ in_bit) rem ^= generator_ & mask;
+  // Systematic encoding: parity = (data(x) * x^r) mod g(x), one table
+  // entry per data byte.
+  const std::uint64_t* table = parity_table_.data();
+  if (parity_table_.size() == 4 * 256) {
+    // 32-bit data words (the OCEAN buffer): four independent loads.
+    return (table[data & 0xFFu] ^ table[256 + ((data >> 8) & 0xFFu)]) ^
+           (table[512 + ((data >> 16) & 0xFFu)] ^ table[768 + (data >> 24)]);
   }
-  while (i > 0) {
-    i -= 8;
-    const std::uint64_t byte = (data >> i) & 0xFFu;
-    rem = ((rem << 8) & mask) ^
-          encode_table_[((rem >> (parity_bits_ - 8)) ^ byte) & 0xFFu];
-  }
-  return rem;
+  std::uint64_t parity = 0;
+  for (std::size_t b = 0; b < parity_table_.size(); b += 256, data >>= 8)
+    parity ^= table[b + (data & 0xFFu)];
+  return parity;
 }
 
 Bits BchCode::encode(std::uint64_t data) const {
   if (data_bits_ < 64) NTC_REQUIRE((data >> data_bits_) == 0);
-  Bits code;
   // Layout: parity at [0, r) (low-order codeword coefficients), data at
   // [r, r + k'): codeword(x) = x^r * data(x) + parity(x).
-  const std::uint64_t parity = parity_of(data);
-  for (std::size_t i = 0; i < parity_bits_; ++i)
-    code.set(i, (parity >> i) & 1u);
-  for (std::size_t i = 0; i < data_bits_; ++i)
-    code.set(parity_bits_ + i, (data >> i) & 1u);
+  Bits code;
+  code.set_word(0, (data << parity_bits_) | parity_of(data));
+  if (code_bits() > 64) code.set_word(1, data >> (64 - parity_bits_));
   return code;
+}
+
+void BchCode::encode_words(const std::uint32_t* data, std::size_t count,
+                           std::uint64_t* raw) const {
+  if (code_bits() > 64) {
+    BlockCode::encode_words(data, count, raw);
+    return;
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint64_t d = data[i];
+    if (data_bits_ < 32) NTC_REQUIRE((d >> data_bits_) == 0);
+    raw[i] = (d << parity_bits_) | parity_of(d);
+  }
+}
+
+void BchCode::decode_words(const std::uint64_t* raw, std::size_t count,
+                           std::uint32_t* data,
+                           BatchDecodeSummary& summary) const {
+  if (code_bits() > 64) {
+    BlockCode::decode_words(raw, count, data, summary);
+    return;
+  }
+  summary = BatchDecodeSummary{};
+  const std::uint64_t code_mask = ~std::uint64_t{0} >> (64 - code_bits());
+  const std::uint64_t parity_mask = (std::uint64_t{1} << parity_bits_) - 1;
+  const std::uint64_t data_mask = ~std::uint64_t{0} >> (64 - data_bits_);
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint64_t d = (raw[i] >> parity_bits_) & data_mask;
+    if (parity_of(d) == (raw[i] & parity_mask)) {
+      data[i] = static_cast<std::uint32_t>(d);
+      continue;
+    }
+    Bits word;
+    word.set_word(0, raw[i] & code_mask);
+    const DecodeResult result = decode(word);
+    data[i] = static_cast<std::uint32_t>(result.data);
+    summary.add(result);
+  }
 }
 
 std::vector<unsigned> BchCode::syndromes(const Bits& received) const {

@@ -30,6 +30,18 @@ class BchCode final : public BlockCode {
   Bits encode(std::uint64_t data) const override;
   DecodeResult decode(const Bits& received) const override;
 
+  /// Word-direct burst lanes (code_bits() <= 64; wider codes keep the
+  /// BlockCode defaults).  Encode is raw = data << r | parity(data).
+  /// Decode runs Berlekamp-Massey only on dirty words: a word is clean
+  /// exactly when the parity of its data field equals its parity field,
+  /// because its remainder mod g(x) is that XOR, has degree < r, and so
+  /// vanishes at alpha^1..alpha^2t only when it is zero.
+  void encode_words(const std::uint32_t* data, std::size_t count,
+                    std::uint64_t* raw) const override;
+  void decode_words(const std::uint64_t* raw, std::size_t count,
+                    std::uint32_t* data,
+                    BatchDecodeSummary& summary) const override;
+
   std::size_t parity_bits() const { return parity_bits_; }
   /// Generator polynomial (GF(2), LSB-first).
   std::uint64_t generator() const { return generator_; }
@@ -53,9 +65,10 @@ class BchCode final : public BlockCode {
   /// syndrome_rows_[j * 2t + (i-1)] = alpha^(i*j): position j's
   /// contribution to syndrome S_i.
   std::vector<unsigned> syndrome_rows_;
-  /// CRC-style byte table for the systematic parity (parity_bits_ >= 8
-  /// only): remainder update for eight data bits at once.
-  std::vector<std::uint64_t> encode_table_;
+  /// parity_table_[b * 256 + v]: parity of the data word whose byte b
+  /// holds v and whose other bytes are zero.  The parity is GF(2)-linear
+  /// in the data, so a word's parity is the XOR of one entry per byte.
+  std::vector<std::uint64_t> parity_table_;
 };
 
 /// The OCEAN protected-buffer code: 32 data bits, t = 4, 24 parity bits

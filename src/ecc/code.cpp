@@ -51,19 +51,8 @@ void BlockCode::decode_words(const std::uint64_t* raw, std::size_t count,
     const std::size_t m = std::min(count - off, kWordChunk);
     decode_batch(raw + off, m, results);
     for (std::size_t i = 0; i < m; ++i) {
-      const DecodeResult& r = results[i];
-      data[off + i] = static_cast<std::uint32_t>(r.data);
-      switch (r.status) {
-        case DecodeStatus::Ok:
-          break;
-        case DecodeStatus::Corrected:
-          ++summary.corrected_words;
-          summary.corrected_bits += static_cast<std::uint64_t>(r.corrected_bits);
-          break;
-        case DecodeStatus::DetectedUncorrectable:
-          ++summary.uncorrectable_words;
-          break;
-      }
+      data[off + i] = static_cast<std::uint32_t>(results[i].data);
+      summary.add(results[i]);
     }
   }
 }

@@ -31,6 +31,21 @@ struct BatchDecodeSummary {
   std::uint64_t corrected_words = 0;
   std::uint64_t corrected_bits = 0;
   std::uint64_t uncorrectable_words = 0;
+
+  /// Fold one word's decode result into the counters.
+  void add(const DecodeResult& r) {
+    switch (r.status) {
+      case DecodeStatus::Ok:
+        break;
+      case DecodeStatus::Corrected:
+        ++corrected_words;
+        corrected_bits += static_cast<std::uint64_t>(r.corrected_bits);
+        break;
+      case DecodeStatus::DetectedUncorrectable:
+        ++uncorrectable_words;
+        break;
+    }
+  }
 };
 
 /// A systematic binary block code protecting up to 64 data bits.

@@ -1,5 +1,7 @@
 #include "faultsim/scenario.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 
 namespace ntc::faultsim {
@@ -78,13 +80,25 @@ void ScenarioInjector::rearm(std::vector<FaultEvent> events) {
   events_.reserve(events.size());
   events_fired_ = 0;
   overlay_stationary_ = true;
+  // Flip events cover [word, word + span); the hull is summed in 64 bits
+  // and clamped, so it holds every word covers() can match.
+  constexpr std::uint64_t kWordLimit = std::numeric_limits<std::uint32_t>::max();
+  std::uint64_t flip_begin = kWordLimit, flip_end = 0;
   for (auto& e : events) {
-    if (stuck_kind(e.kind) &&
-        (e.arm_at_access != 0 ||
-         e.disarm_at_access != std::numeric_limits<std::uint64_t>::max()))
-      overlay_stationary_ = false;
+    if (stuck_kind(e.kind)) {
+      if (e.arm_at_access != 0 ||
+          e.disarm_at_access != std::numeric_limits<std::uint64_t>::max())
+        overlay_stationary_ = false;
+    } else {
+      flip_begin = std::min<std::uint64_t>(flip_begin, e.word);
+      flip_end = std::max(flip_end, std::uint64_t{e.word} + e.span);
+    }
     events_.push_back(Armed{std::move(e), false});
   }
+  flip_span_ = sim::WordSpan{0, 0};
+  if (flip_end > flip_begin)
+    flip_span_ = {static_cast<std::uint32_t>(flip_begin),
+                  static_cast<std::uint32_t>(std::min(flip_end, kWordLimit))};
 }
 
 bool ScenarioInjector::stuck_kind(FaultEvent::Kind kind) {

@@ -104,6 +104,9 @@ class ScenarioInjector final : public sim::FaultInjector {
                      std::uint64_t& mask, std::uint64_t& value) override;
   std::uint64_t access_flips(sim::AccessKind kind, std::uint32_t index,
                              const sim::FaultContext& ctx) override;
+  /// The hull of the flip events' words (empty when the script has
+  /// none).
+  sim::WordSpan flip_span() const override { return flip_span_; }
   /// True when no stuck event is windowed on the access counter, so the
   /// overlay only changes with the supply (voltage healing is fine: the
   /// array re-derives its cache on every set_vdd).
@@ -129,6 +132,7 @@ class ScenarioInjector final : public sim::FaultInjector {
   std::vector<Armed> events_;
   std::uint64_t events_fired_ = 0;
   bool overlay_stationary_ = true;
+  sim::WordSpan flip_span_;
 };
 
 }  // namespace ntc::faultsim

@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "ecc/crc.hpp"
 
 namespace ntc::ocean {
 
@@ -13,7 +14,7 @@ ProtectedBuffer::ProtectedBuffer(sim::EccMemory& pm) : pm_(pm) {
 }
 
 ProtectedBuffer::SaveResult ProtectedBuffer::save_with_crc(
-    sim::MemoryPort& spm, workloads::ChunkRef chunk, const ecc::Crc32& crc) {
+    sim::MemoryPort& spm, workloads::ChunkRef chunk) {
   NTC_REQUIRE_MSG(chunk.words <= slot_capacity_words(),
                   "chunk exceeds checkpoint slot capacity");
   const std::uint32_t base = slot_base(current_slot_ ^ 1u);  // idle slot
@@ -22,14 +23,7 @@ ProtectedBuffer::SaveResult ProtectedBuffer::save_with_crc(
   spm.read_burst_counted(chunk.word_offset, buffer,
                          result.uncorrectable_words);
   pm_.write_burst(base, buffer);
-  std::uint32_t state = ecc::Crc32::initial();
-  for (const std::uint32_t word : buffer) {
-    state = crc.update(state, static_cast<std::uint8_t>(word));
-    state = crc.update(state, static_cast<std::uint8_t>(word >> 8));
-    state = crc.update(state, static_cast<std::uint8_t>(word >> 16));
-    state = crc.update(state, static_cast<std::uint8_t>(word >> 24));
-  }
-  result.crc = ecc::Crc32::finalize(state);
+  result.crc = ecc::Crc32::compute_words(buffer);
   return result;
 }
 

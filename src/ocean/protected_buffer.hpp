@@ -14,7 +14,6 @@
 
 #include <cstdint>
 
-#include "ecc/crc.hpp"
 #include "sim/ecc_memory.hpp"
 #include "workloads/streaming.hpp"
 
@@ -48,8 +47,7 @@ class ProtectedBuffer {
   /// CRC-32 signature of the copied data and validating while copying.
   /// Does NOT commit; call commit() when the save is acceptable.
   /// Requires chunk.words <= slot_capacity_words().
-  SaveResult save_with_crc(sim::MemoryPort& spm, workloads::ChunkRef chunk,
-                           const ecc::Crc32& crc);
+  SaveResult save_with_crc(sim::MemoryPort& spm, workloads::ChunkRef chunk);
 
   /// Promote the last save to be the current checkpoint.
   void commit() { current_slot_ ^= 1u; }

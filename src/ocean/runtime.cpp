@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "ecc/crc.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -71,14 +72,7 @@ RestoreResult OceanRuntime::restore_with_escalation(ProtectedBuffer& buffer,
 std::uint32_t OceanRuntime::crc_of_chunk(workloads::ChunkRef chunk) {
   std::vector<std::uint32_t> buffer(chunk.words);
   host_.data_port().read_burst(chunk.word_offset, buffer);
-  std::uint32_t state = ecc::Crc32::initial();
-  for (const std::uint32_t word : buffer) {
-    state = crc_.update(state, static_cast<std::uint8_t>(word));
-    state = crc_.update(state, static_cast<std::uint8_t>(word >> 8));
-    state = crc_.update(state, static_cast<std::uint8_t>(word >> 16));
-    state = crc_.update(state, static_cast<std::uint8_t>(word >> 24));
-  }
-  return ecc::Crc32::finalize(state);
+  return ecc::Crc32::compute_words(buffer);
 }
 
 OceanRunOutcome OceanRuntime::run(workloads::StreamingTask& task) {
@@ -101,7 +95,7 @@ OceanRunOutcome OceanRuntime::run(workloads::StreamingTask& task) {
     {
       NTC_TELEM_SPAN(cp, telemetry::EventKind::Checkpoint, "ocean_checkpoint");
       cp.set_args(chunk.word_offset, chunk.words);
-      saved = buffer.save_with_crc(spm, chunk, crc_);
+      saved = buffer.save_with_crc(spm, chunk);
     }
     NTC_TELEM_COUNT("ntc_ocean_checkpoint_words_total", chunk.words);
     NTC_TELEM_OBSERVE("ntc_ocean_checkpoint_words", chunk.words);
@@ -153,7 +147,7 @@ OceanRunOutcome OceanRuntime::run(workloads::StreamingTask& task) {
         NTC_TELEM_SPAN(cp, telemetry::EventKind::Checkpoint,
                        "ocean_checkpoint");
         cp.set_args(result.output.word_offset, result.output.words);
-        saved = buffer.save_with_crc(spm, result.output, crc_);
+        saved = buffer.save_with_crc(spm, result.output);
       }
       NTC_TELEM_COUNT("ntc_ocean_checkpoint_words_total", result.output.words);
       NTC_TELEM_OBSERVE("ntc_ocean_checkpoint_words", result.output.words);

@@ -17,7 +17,6 @@
 
 #include <memory>
 
-#include "ecc/crc.hpp"
 #include "ocean/protected_buffer.hpp"
 #include "sim/platform.hpp"
 #include "workloads/streaming.hpp"
@@ -122,7 +121,6 @@ class OceanRuntime {
   std::unique_ptr<OceanHost> owned_host_;  ///< Platform-ctor adapter
   OceanHost& host_;
   OceanConfig config_;
-  ecc::Crc32 crc_;
 };
 
 /// Baseline runner for the No-mitigation and plain-ECC configurations:

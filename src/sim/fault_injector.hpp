@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include "common/units.hpp"
@@ -36,6 +37,12 @@ struct FaultContext {
   /// Total accesses (reads + writes) performed on the array so far,
   /// including the one in flight — the time base for armed events.
   std::uint64_t access_count = 0;
+};
+
+/// Half-open word range [begin, end).
+struct WordSpan {
+  std::uint32_t begin = 0;
+  std::uint32_t end = std::numeric_limits<std::uint32_t>::max();
 };
 
 class FaultInjector {
@@ -58,6 +65,10 @@ class FaultInjector {
     (void)kind, (void)index, (void)ctx;
     return 0;
   }
+
+  /// Words outside of which access_flips() returns 0 and changes no
+  /// state, so a burst may skip the call there.  Default: every word.
+  virtual WordSpan flip_span() const { return {}; }
 
   /// The supply (or the injector chain) changed; re-derive any
   /// voltage-dependent fault state before the next stuck_overlay().

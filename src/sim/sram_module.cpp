@@ -1,6 +1,7 @@
 #include "sim/sram_module.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "sim/stochastic_injector.hpp"
@@ -164,16 +165,75 @@ std::uint64_t SramModule::read_raw(std::uint32_t index) {
   return (value ^ flips) & mask();
 }
 
+template <typename Apply>
+std::uint64_t SramModule::burst_flips(AccessKind kind, std::uint32_t index,
+                                      std::uint32_t count,
+                                      std::uint64_t first_access,
+                                      Apply&& apply) {
+  // Burst offsets [lo, hi): the hull of the scripted injectors' flip
+  // spans.  Outside it only the stochastic model can flip.
+  std::uint32_t lo = count, hi = 0;
+  for (const auto& injector : injectors_) {
+    if (injector == stochastic_) continue;
+    const WordSpan span = injector->flip_span();
+    const std::uint32_t begin = std::max(span.begin, index);
+    const std::uint32_t end = static_cast<std::uint32_t>(std::min<std::uint64_t>(
+        span.end, static_cast<std::uint64_t>(index) + count));
+    if (begin < end) {
+      lo = std::min(lo, begin - index);
+      hi = std::max(hi, end - index);
+    }
+  }
+  std::uint64_t flipped_bits = 0;
+  const auto land = [&](std::uint32_t i, std::uint64_t flips) {
+    apply(i, flips);
+    flipped_bits += static_cast<std::uint64_t>(__builtin_popcountll(flips));
+  };
+  // Injectors keep independent state, so the stochastic draws can all
+  // come first: the bulk scan consumes the stream the per-word calls
+  // would.  Its masks inside the hull are held back, to be XORed with
+  // the scripted masks of the same access before the bits are counted.
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> held;
+  if (stochastic_ && stochastic_->p_access() > 0.0) {
+    stochastic_->draw().scan_flips(
+        count, [&](std::uint64_t i, std::uint64_t flips) {
+          const auto offset = static_cast<std::uint32_t>(i);
+          if (offset >= lo && offset < hi)
+            held.emplace_back(offset, flips);
+          else
+            land(offset, flips);
+        });
+  }
+  FaultContext ctx = ctx_;
+  std::size_t next_held = 0;
+  for (std::uint32_t i = lo; i < hi; ++i) {
+    std::uint64_t flips = 0;
+    if (next_held < held.size() && held[next_held].first == i)
+      flips = held[next_held++].second;
+    const std::uint32_t word = index + i;
+    ctx.access_count = first_access + i;
+    for (const auto& injector : injectors_) {
+      if (injector == stochastic_) continue;
+      const WordSpan span = injector->flip_span();
+      if (word >= span.begin && word < span.end)
+        flips ^= injector->access_flips(kind, word, ctx);
+    }
+    if (flips != 0) land(i, flips);
+  }
+  return flipped_bits;
+}
+
 void SramModule::read_raw_burst(std::uint32_t index, std::uint64_t* out,
                                 std::uint32_t count) {
   NTC_REQUIRE(static_cast<std::uint64_t>(index) + count <= words());
   if (count == 0) return;
-  if (!overlay_cached_ || (flips_possible_ && !stochastic_only())) {
-    // Scripted injectors attached: their hooks see every access in
-    // per-word order (burst events arm on exact access counts).
+  if (!overlay_cached_) {
+    // Access-windowed stuck events: the overlay moves with the access
+    // counter, so every read walks the chain.
     for (std::uint32_t i = 0; i < count; ++i) out[i] = read_raw(index + i);
     return;
   }
+  const std::uint64_t first_access = ctx_.access_count + 1;
   stats_.reads += count;
   ctx_.access_count += count;
   const std::uint64_t msk = mask();
@@ -186,14 +246,10 @@ void SramModule::read_raw_burst(std::uint32_t index, std::uint64_t* out,
     }
   }
   if (!flips_possible_) return;
-  // Stochastic-only chain: the sampler scans the range's flip draws in
-  // bulk (the stream per-word access_flips calls would draw) without
-  // the per-access chain walk and virtual dispatch.
-  std::uint64_t flipped_bits = 0;
-  stochastic_->draw().scan_flips(
-      count, [&](std::uint64_t i, std::uint64_t flips) {
-        out[i] ^= flips;
-        flipped_bits += static_cast<std::uint64_t>(__builtin_popcountll(flips));
+  const std::uint64_t flipped_bits = burst_flips(
+      AccessKind::Read, index, count, first_access,
+      [&](std::uint32_t i, std::uint64_t flips) {
+        out[i] = (out[i] ^ flips) & msk;
       });
   stats_.injected_read_flips += flipped_bits;
   if (flipped_bits > 0) {
@@ -208,10 +264,8 @@ void SramModule::write_raw_burst(std::uint32_t index,
                                  std::uint32_t count) {
   NTC_REQUIRE(static_cast<std::uint64_t>(index) + count <= words());
   if (count == 0) return;
-  if (flips_possible_ && !stochastic_only()) {
-    for (std::uint32_t i = 0; i < count; ++i) write_raw(index + i, values[i]);
-    return;
-  }
+  // Writes never consult the stuck overlay, so every chain bursts.
+  const std::uint64_t first_access = ctx_.access_count + 1;
   stats_.writes += count;
   ctx_.access_count += count;
   const std::uint64_t msk = mask();
@@ -220,11 +274,10 @@ void SramModule::write_raw_burst(std::uint32_t index,
     data_[index + i] = values[i];
   }
   if (!flips_possible_) return;
-  std::uint64_t flipped_bits = 0;
-  stochastic_->draw().scan_flips(
-      count, [&](std::uint64_t i, std::uint64_t flips) {
-        data_[index + i] ^= flips;
-        flipped_bits += static_cast<std::uint64_t>(__builtin_popcountll(flips));
+  const std::uint64_t flipped_bits = burst_flips(
+      AccessKind::Write, index, count, first_access,
+      [&](std::uint32_t i, std::uint64_t flips) {
+        data_[index + i] = (data_[index + i] ^ flips) & msk;
       });
   stats_.injected_write_flips += flipped_bits;
   if (flipped_bits > 0) {

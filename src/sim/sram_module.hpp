@@ -112,10 +112,16 @@ class SramModule {
   /// Flip mask for the access in flight, summed over the chain.
   std::uint64_t gather_flips(AccessKind kind, std::uint32_t index,
                              const FaultContext& ctx);
+  /// The chain-summed flip masks of `count` accesses of `kind` to words
+  /// index, index + 1, ..., the first being access number
+  /// `first_access`, drawn and fired exactly as per-word gather_flips
+  /// calls would: apply(offset, mask) once for each offset whose mask is
+  /// nonzero (not in offset order).  Returns the number of flipped bits.
+  template <typename Apply>
+  std::uint64_t burst_flips(AccessKind kind, std::uint32_t index,
+                            std::uint32_t count, std::uint64_t first_access,
+                            Apply&& apply);
   void derive_fault_state();
-  /// The chain is the stochastic model alone (it is always attached
-  /// first), so bursts may draw its flips in bulk.
-  bool stochastic_only() const { return injectors_.size() == 1 && stochastic_; }
 
   std::string name_;
   std::uint32_t stored_bits_;

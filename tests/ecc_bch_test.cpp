@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "ecc/galois.hpp"
 
@@ -102,6 +106,42 @@ TEST_P(BchParamTest, CleanWordDecodesOk) {
   }
 }
 
+/// True when decode_words() gives `raw` the data and counters the scalar
+/// decode() gives it.
+bool word_lane_matches_scalar(const BchCode& code, std::uint64_t raw) {
+  const DecodeResult ref = code.decode(Bits::from_u64(raw));
+  std::uint32_t data = 0;
+  BatchDecodeSummary summary;
+  code.decode_words(&raw, 1, &data, summary);
+  const bool corrected = ref.status == DecodeStatus::Corrected;
+  const bool uncorrectable = ref.status == DecodeStatus::DetectedUncorrectable;
+  return data == static_cast<std::uint32_t>(ref.data) &&
+         summary.corrected_words == (corrected ? 1u : 0u) &&
+         summary.corrected_bits ==
+             (corrected ? static_cast<std::uint64_t>(ref.corrected_bits) : 0u) &&
+         summary.uncorrectable_words == (uncorrectable ? 1u : 0u);
+}
+
+TEST_P(BchParamTest, WordLanesMatchScalarCodec) {
+  const BchCode code(6, GetParam(), 32);
+  const unsigned t = GetParam();
+  Rng rng(200 + t);
+  std::vector<std::uint32_t> data(300);
+  for (auto& d : data) d = static_cast<std::uint32_t>(rng.next_u64());
+  std::vector<std::uint64_t> raw(data.size());
+  code.encode_words(data.data(), data.size(), raw.data());
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    ASSERT_EQ(raw[i], code.encode(data[i]).word(0)) << "t=" << t << " i=" << i;
+    // Up to t + 1 random flips: clean, correctable and beyond.
+    std::uint64_t word = raw[i];
+    const std::uint64_t flips = rng.uniform_u64(t + 2);
+    for (std::uint64_t f = 0; f < flips; ++f)
+      word ^= std::uint64_t{1} << rng.uniform_u64(code.code_bits());
+    EXPECT_TRUE(word_lane_matches_scalar(code, word))
+        << "t=" << t << " raw=" << std::hex << word;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(CorrectionStrengths, BchParamTest,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u));
 
@@ -167,6 +207,84 @@ TEST(Bch, WorksOverLargerFields) {
   auto result = code.decode(word);
   EXPECT_EQ(result.data, data);
   EXPECT_EQ(result.corrected_bits, 3);
+}
+
+// decode_words screens clean words with a parity recomputation and
+// hands only the rest to decode(); against decode() itself it must be
+// indistinguishable on every error OCEAN's buffer code guarantees to
+// correct, and agree on the verdict beyond.  The 396,606 errors of 1-4
+// bits are split four ways by their lowest flipped bit (mod 4) to keep
+// each case short.
+class BchExhaustiveTest : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(BchExhaustiveTest, DecodeWordsMatchesScalarOnEveryErrorUpToFourBits) {
+  const BchCode code = ocean_buffer_code();
+  const std::size_t n = code.code_bits();
+  const std::uint64_t clean = code.encode(0xC0DE5EEDu).word(0);
+  ASSERT_TRUE(word_lane_matches_scalar(code, clean));
+  std::uint64_t patterns = 0, expected = 0, mismatches = 0, first_mismatch = 0;
+  const auto check = [&](std::uint64_t error) {
+    ++patterns;
+    if (!word_lane_matches_scalar(code, clean ^ error) && mismatches++ == 0)
+      first_mismatch = error;
+  };
+  for (std::size_t a = GetParam(); a < n; a += 4) {
+    const std::uint64_t above = n - 1 - a;  // bits free above the lowest
+    expected += 1 + above + above * (above - 1) / 2 +
+                above * (above - 1) * (above - 2) / 6;
+    const std::uint64_t ea = std::uint64_t{1} << a;
+    check(ea);
+    for (std::size_t b = a + 1; b < n; ++b) {
+      const std::uint64_t eb = ea | std::uint64_t{1} << b;
+      check(eb);
+      for (std::size_t c = b + 1; c < n; ++c) {
+        const std::uint64_t ec = eb | std::uint64_t{1} << c;
+        check(ec);
+        for (std::size_t d = c + 1; d < n; ++d)
+          check(ec | std::uint64_t{1} << d);
+      }
+    }
+  }
+  EXPECT_EQ(patterns, expected);
+  EXPECT_EQ(mismatches, 0u) << "first mismatching error " << std::hex
+                            << first_mismatch;
+}
+
+INSTANTIATE_TEST_SUITE_P(LowestErrorBitMod4, BchExhaustiveTest,
+                         ::testing::Values(0u, 1u, 2u, 3u));
+
+TEST(BchWordLanes, DecodeMatchesScalarOnSampledFiveBitErrors) {
+  const BchCode code = ocean_buffer_code();
+  const std::uint64_t clean = code.encode(0x0BADF00Du).word(0);
+  Rng rng(5);
+  int detected = 0, miscorrected = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    std::uint64_t error = 0;
+    while (std::popcount(error) < 5)
+      error |= std::uint64_t{1} << rng.uniform_u64(code.code_bits());
+    const std::uint64_t raw = clean ^ error;
+    ASSERT_TRUE(word_lane_matches_scalar(code, raw))
+        << "error " << std::hex << error;
+    const DecodeResult ref = code.decode(Bits::from_u64(raw));
+    if (ref.status == DecodeStatus::DetectedUncorrectable) ++detected;
+    if (ref.status == DecodeStatus::Corrected && ref.data != 0x0BADF00Du)
+      ++miscorrected;
+  }
+  // Both verdicts beyond t occur in the sample.
+  EXPECT_GT(detected, 0);
+  EXPECT_GT(miscorrected, 0);
+}
+
+TEST(BchWordLanesDeathTest, WiderThanOneWordKeepsTheDefaultPath) {
+  // BCH(88,64,t=3) codewords do not fit a raw word: the lanes defer to
+  // the BlockCode defaults, which reject the call.
+  const BchCode code(8, 3, 64);
+  ASSERT_EQ(code.code_bits(), 88u);
+  std::uint32_t data = 1;
+  std::uint64_t raw = 0;
+  BatchDecodeSummary summary;
+  EXPECT_DEATH(code.encode_words(&data, 1, &raw), "n >= 1 && n <= 64");
+  EXPECT_DEATH(code.decode_words(&raw, 1, &data, summary), "n >= 1 && n <= 64");
 }
 
 }  // namespace

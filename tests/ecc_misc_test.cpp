@@ -41,6 +41,22 @@ TEST(Crc32, WordAndByteInterfacesAgree) {
   std::vector<std::uint32_t> words{0x04030201u, 0x08070605u};
   std::vector<std::uint8_t> bytes{1, 2, 3, 4, 5, 6, 7, 8};
   EXPECT_EQ(crc.compute_words(words), crc.compute(bytes));
+  // The word fold against the byte loop on random chunks of 0-1024
+  // words, each word's bytes taken low byte first.
+  Rng rng(4);
+  std::vector<std::size_t> lengths{0, 1, 1024};
+  for (int i = 0; i < 20; ++i)
+    lengths.push_back(static_cast<std::size_t>(rng.uniform_u64(1025)));
+  for (const std::size_t n : lengths) {
+    words.resize(n);
+    bytes.clear();
+    for (auto& w : words) {
+      w = static_cast<std::uint32_t>(rng.next_u64());
+      for (int b = 0; b < 4; ++b)
+        bytes.push_back(static_cast<std::uint8_t>(w >> (8 * b)));
+    }
+    ASSERT_EQ(crc.compute_words(words), crc.compute(bytes)) << "n=" << n;
+  }
 }
 
 TEST(Interleave, ParametersOf4x16) {

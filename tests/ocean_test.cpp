@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "ecc/crc.hpp"
 #include "ocean/optimizer.hpp"
 #include "ocean/runtime.hpp"
 #include "workloads/fft.hpp"
@@ -31,11 +32,10 @@ sim::Platform ocean_platform(double vdd, std::uint64_t seed = 1,
 TEST(ProtectedBuffer, SaveCommitRestoreRoundTrip) {
   sim::Platform platform = ocean_platform(1.1, 1, false);
   ProtectedBuffer buffer(*platform.pm());
-  ecc::Crc32 crc;
   for (std::uint32_t i = 0; i < 64; ++i)
     platform.spm().write_word(i, i * 31 + 7);
   workloads::ChunkRef chunk{0, 64};
-  auto saved = buffer.save_with_crc(platform.spm(), chunk, crc);
+  auto saved = buffer.save_with_crc(platform.spm(), chunk);
   EXPECT_TRUE(saved.clean());
   buffer.commit();
   // Trash the scratchpad.
@@ -55,14 +55,13 @@ TEST(ProtectedBuffer, PingPongPreservesPreviousCheckpoint) {
   // not destroy the committed one until commit() is called.
   sim::Platform platform = ocean_platform(1.1, 1, false);
   ProtectedBuffer buffer(*platform.pm());
-  ecc::Crc32 crc;
   workloads::ChunkRef chunk{0, 16};
   for (std::uint32_t i = 0; i < 16; ++i) platform.spm().write_word(i, 100 + i);
-  buffer.save_with_crc(platform.spm(), chunk, crc);
+  buffer.save_with_crc(platform.spm(), chunk);
   buffer.commit();
   // New data saved but NOT committed.
   for (std::uint32_t i = 0; i < 16; ++i) platform.spm().write_word(i, 900 + i);
-  buffer.save_with_crc(platform.spm(), chunk, crc);
+  buffer.save_with_crc(platform.spm(), chunk);
   // Restore must yield the committed (old) checkpoint.
   buffer.restore(platform.spm(), chunk);
   std::uint32_t v = 0;
@@ -73,23 +72,21 @@ TEST(ProtectedBuffer, PingPongPreservesPreviousCheckpoint) {
 TEST(ProtectedBuffer, RejectsOversizedChunkDeath) {
   sim::Platform platform = ocean_platform(1.1, 1, false);
   ProtectedBuffer buffer(*platform.pm());
-  ecc::Crc32 crc;
   EXPECT_DEATH(buffer.save_with_crc(platform.spm(),
-                                    {0, buffer.slot_capacity_words() + 1}, crc),
+                                    {0, buffer.slot_capacity_words() + 1}),
                "slot capacity");
 }
 
 TEST(ProtectedBuffer, SaveWithCrcMatchesSeparateCrc) {
   sim::Platform platform = ocean_platform(1.1, 1, false);
   ProtectedBuffer buffer(*platform.pm());
-  ecc::Crc32 crc;
   std::vector<std::uint32_t> values;
   for (std::uint32_t i = 0; i < 32; ++i) {
     platform.spm().write_word(i, i ^ 0xA5A5A5A5u);
     values.push_back(i ^ 0xA5A5A5A5u);
   }
-  const auto saved = buffer.save_with_crc(platform.spm(), {0, 32}, crc);
-  EXPECT_EQ(saved.crc, crc.compute_words(values));
+  const auto saved = buffer.save_with_crc(platform.spm(), {0, 32});
+  EXPECT_EQ(saved.crc, ecc::Crc32::compute_words(values));
   EXPECT_TRUE(saved.clean());
 }
 
@@ -161,11 +158,10 @@ TEST(ProtectedBuffer, QuintupleErrorsInThePmAreTheFailureMode) {
   // "quintuple (5 bits) error is needed for system failure" condition).
   sim::Platform platform = ocean_platform(1.1, 3, true);
   ProtectedBuffer buffer(*platform.pm());
-  ecc::Crc32 crc;
   for (std::uint32_t i = 0; i < 256; ++i)
     platform.spm().write_word(i, i * 77u);
   workloads::ChunkRef chunk{0, 256};
-  ASSERT_TRUE(buffer.save_with_crc(platform.spm(), chunk, crc).clean());
+  ASSERT_TRUE(buffer.save_with_crc(platform.spm(), chunk).clean());
   buffer.commit();
   platform.pm()->array().set_vdd(Volt{0.12});  // deep retention collapse
   const RestoreResult restored = buffer.restore(platform.spm(), chunk);

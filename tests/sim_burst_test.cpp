@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/adaptive_memory.hpp"
@@ -56,32 +57,109 @@ void expect_same_ecc_stats(const sim::EccMemoryStats& a,
   EXPECT_EQ(a.scrub_passes, b.scrub_passes);
 }
 
+/// Two scripted injectors for the raw-burst equivalence.  The first
+/// holds every flip-event kind: a transient armed at access 75, which
+/// is word 10's read in the first read burst of MatchesPerWordLoop, two
+/// events on word 20, and, when `windowed`, a stuck event open only for
+/// accesses [70, 150), which puts the stuck overlay on the access
+/// counter.  The second flips word 20 too, so the chain's masks must be
+/// XORed before their bits are counted, and reaches word 60, so the two
+/// flip spans differ.
+std::vector<std::shared_ptr<faultsim::ScenarioInjector>> attach_burst_script(
+    sim::SramModule& sram, bool windowed) {
+  using faultsim::FaultEvent;
+  std::vector<FaultEvent> first = {
+      FaultEvent::read_burst(3, 4, 3),
+      FaultEvent::read_burst(20, 0, 3),
+      FaultEvent::transient_flip(20, 0b110),
+      FaultEvent::transient_flip(10, 0b1, /*at_access=*/75),
+      FaultEvent::write_burst(40, 0x3),
+      FaultEvent::write_burst(41, 0x5, /*once=*/true),
+      FaultEvent::stuck_at(9, 0x7, 0x5)};
+  if (windowed) {
+    FaultEvent stuck = FaultEvent::stuck_at(30, 0xF0, 0xA0);
+    stuck.arm_at_access = 70;
+    stuck.disarm_at_access = 150;
+    first.push_back(stuck);
+  }
+  const std::vector<FaultEvent> second = {FaultEvent::read_burst(20, 1, 2),
+                                          FaultEvent::read_burst(60, 0, 1)};
+  std::vector<std::shared_ptr<faultsim::ScenarioInjector>> chain;
+  for (const auto& script : {first, second}) {
+    chain.push_back(std::make_shared<faultsim::ScenarioInjector>(script));
+    sram.attach_injector(chain.back());
+  }
+  return chain;
+}
+
 TEST(SramRawBurst, MatchesPerWordLoop) {
   // Same seed, same access sequence: `burst` uses the raw burst entry
   // points, `scalar` the per-word ones.  At 0.42 V the stochastic draw
-  // stream is live, so a single skipped or reordered draw diverges.
-  for (const double v : {0.60, 0.42}) {
-    sim::SramModule burst = make_sram(Volt{v}, /*inject=*/true, 42);
-    sim::SramModule scalar = make_sram(Volt{v}, /*inject=*/true, 42);
+  // stream is live, so a single skipped or reordered draw diverges; at
+  // 0.22 V it flips a few percent of the accesses and sticks a fifth of
+  // the cells, so its flips also land on scripted words.  The chain is
+  // the stochastic model alone, then with the scripted injectors above:
+  // bursts cover, straddle and miss their flip spans, with the stuck
+  // overlay cached (scripted bursts take the bulk path) and windowed
+  // (reads walk the chain per word).
+  enum class Chain { Stochastic, Scripted, ScriptedWindowed };
+  struct Step {
+    bool write;
+    std::uint32_t first, count;
+  };
+  const Step steps[] = {{true, 0, 64},  {false, 0, 64}, {true, 16, 32},
+                        {false, 8, 32}, {false, 0, 64}, {false, 44, 12}};
+  for (const double v : {0.60, 0.42, 0.22}) {
+    for (const Chain chain :
+         {Chain::Stochastic, Chain::Scripted, Chain::ScriptedWindowed}) {
+      sim::SramModule burst = make_sram(Volt{v}, /*inject=*/true, 42);
+      sim::SramModule scalar = make_sram(Volt{v}, /*inject=*/true, 42);
+      std::vector<std::shared_ptr<faultsim::ScenarioInjector>> burst_chain,
+          scalar_chain;
+      if (chain != Chain::Stochastic) {
+        const bool windowed = chain == Chain::ScriptedWindowed;
+        burst_chain = attach_burst_script(burst, windowed);
+        scalar_chain = attach_burst_script(scalar, windowed);
+      }
 
-    std::vector<std::uint64_t> values(burst.words());
-    std::uint64_t pattern = 0x9E3779B97F4A7C15ull;
-    for (auto& value : values) {
-      value = pattern & ((1ull << 39) - 1);
-      pattern = pattern * 2862933555777941757ull + 3037000493ull;
+      std::uint64_t pattern = 0x9E3779B97F4A7C15ull;
+      for (const Step& step : steps) {
+        const std::string where =
+            "v=" + std::to_string(v) + " chain=" +
+            std::to_string(static_cast<int>(chain)) +
+            " step at " + std::to_string(step.first);
+        std::vector<std::uint64_t> words(step.count);
+        if (step.write) {
+          for (auto& value : words) {
+            value = pattern & ((1ull << 39) - 1);
+            pattern = pattern * 2862933555777941757ull + 3037000493ull;
+          }
+          burst.write_raw_burst(step.first, words.data(), step.count);
+          for (std::uint32_t i = 0; i < step.count; ++i)
+            scalar.write_raw(step.first + i, words[i]);
+        } else {
+          burst.read_raw_burst(step.first, words.data(), step.count);
+          for (std::uint32_t i = 0; i < step.count; ++i)
+            EXPECT_EQ(words[i], scalar.read_raw(step.first + i))
+                << where << " w=" << step.first + i;
+        }
+        EXPECT_EQ(burst.raw_words(), scalar.raw_words()) << where;
+        expect_same_stats(burst.stats(), scalar.stats());
+        for (std::size_t k = 0; k < burst_chain.size(); ++k)
+          EXPECT_EQ(burst_chain[k]->events_fired(),
+                    scalar_chain[k]->events_fired())
+              << where << " injector " << k;
+      }
+      if (chain != Chain::Stochastic) {
+        // Every scripted event fired where the script says it would.
+        EXPECT_EQ(burst_chain[0]->events_fired(), 10u);
+        EXPECT_EQ(burst_chain[1]->events_fired(), 5u);
+      } else if (v < 0.3) {
+        EXPECT_GT(burst.stats().injected_read_flips +
+                      burst.stats().injected_write_flips,
+                  5u);
+      }
     }
-    burst.write_raw_burst(0, values.data(),
-                          static_cast<std::uint32_t>(values.size()));
-    for (std::uint32_t w = 0; w < scalar.words(); ++w)
-      scalar.write_raw(w, values[w]);
-    EXPECT_EQ(burst.raw_words(), scalar.raw_words()) << "v=" << v;
-    expect_same_stats(burst.stats(), scalar.stats());
-
-    std::vector<std::uint64_t> got(burst.words());
-    burst.read_raw_burst(0, got.data(), static_cast<std::uint32_t>(got.size()));
-    for (std::uint32_t w = 0; w < scalar.words(); ++w)
-      EXPECT_EQ(got[w], scalar.read_raw(w)) << "v=" << v << " w=" << w;
-    expect_same_stats(burst.stats(), scalar.stats());
   }
 }
 
