@@ -2,36 +2,27 @@
 # Mutation checks: proof that the equivalence and golden tests bite.
 #
 # Each entry below is one mutant: a one-line edit to one source file
-# and the tests that must catch it.  The script checks out a revision
-# (default HEAD) into a scratch git worktree, configures it once, and
-# for every mutant applies the edit, rebuilds only the test binary the
-# entry names, runs each named test on its own and restores the file.
-# A mutant is killed when every named test fails.  The script exits
-# non-zero if any mutant survives, if an edit no longer matches its
-# file exactly once, or if a mutant does not build.
+# and the tests that must catch it.  The script checks out the working
+# tree's tracked files (`git stash create`, or HEAD when nothing is
+# edited) into a scratch git worktree under $TMPDIR, configures it once,
+# and for every mutant applies the edit, rebuilds only the test binary
+# the entry names, runs each named test on its own and restores the
+# file.  A mutant is killed when every named test fails.  The script
+# exits non-zero if any mutant survives, if an edit no longer matches
+# its file exactly once, or if a mutant does not build; it then keeps
+# its logs in the scratch directory, which a clean run removes.
 #
 # A change that claims "the test bites" adds its mutant here.  The run
 # rebuilds a dozen test binaries and takes minutes, so it belongs in a
 # manual or tier-2 run, never in tier 1.
 #
-# Usage: scripts/mutants.sh [--rev REV] [--only SUBSTRING]
-#   NTC_MUTANT_DIR   scratch directory (default: a new one under $TMPDIR);
-#                    removed after a clean run, kept with the logs after
-#                    a failing one
-#   NTC_MUTANT_JOBS  build parallelism (default 4)
+# Usage: scripts/mutants.sh
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
-rev=HEAD
-only=""
-while [[ $# -gt 0 ]]; do
-  case "$1" in
-    --rev) rev="$2"; shift 2 ;;
-    --only) only="$2"; shift 2 ;;
-    *) echo "usage: $0 [--rev REV] [--only SUBSTRING]" >&2; exit 2 ;;
-  esac
-done
-jobs="${NTC_MUTANT_JOBS:-4}"
+rev="$(git -C "${repo_root}" stash create)"
+rev="${rev:-HEAD}"
+jobs="$(nproc)"
 
 names=() files=() olds=() news=() binaries=() filters=()
 # mutant NAME FILE OLD NEW TEST_BINARY GTEST_FILTER
@@ -115,7 +106,7 @@ mutant "BCH clean test reads the parity field on both sides" \
   'if ((raw[i] & parity_mask) == (raw[i] & parity_mask)) {' \
   ecc_bch_test 'LowestErrorBitMod4/BchExhaustiveTest.*:*WordLanesMatchScalarCodec*'
 
-work="${NTC_MUTANT_DIR:-$(mktemp -d "${TMPDIR:-/tmp}/ntc-mutants.XXXXXX")}"
+work="$(mktemp -d "${TMPDIR:-/tmp}/ntc-mutants.XXXXXX")"
 tree="${work}/tree"
 build="${work}/build"
 failed=1
@@ -129,7 +120,6 @@ cleanup() {
 }
 trap cleanup EXIT
 
-mkdir -p "${work}"
 git -C "${repo_root}" worktree add --detach "${tree}" "${rev}" >/dev/null
 cmake -S "${tree}" -B "${build}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   >"${work}/configure.log" 2>&1 ||
@@ -149,25 +139,19 @@ EOF
 
 # The named tests must pass on the unmutated tree, or a failure below
 # would prove nothing.
-selected=()
-for i in "${!names[@]}"; do
-  [[ -n "${only}" && "${names[$i]}" != *"${only}"* ]] || selected+=("$i")
-done
-[[ ${#selected[@]} -gt 0 ]] || { echo "no mutant matches '${only}'" >&2; exit 1; }
-targets=$(for i in "${selected[@]}"; do echo "${binaries[$i]}"; done | sort -u)
+targets=$(printf '%s\n' "${binaries[@]}" | sort -u)
 cmake --build "${build}" -j "${jobs}" --target ${targets} \
   >"${work}/baseline.log" 2>&1 ||
   { echo "unmutated build failed; see ${work}/baseline.log" >&2; exit 1; }
-for i in "${selected[@]}"; do
+for i in "${!names[@]}"; do
   "${build}/tests/${binaries[$i]}" --gtest_filter="${filters[$i]}" \
     >>"${work}/baseline.log" 2>&1 ||
     { echo "named tests of '${names[$i]}' fail unmutated" >&2; exit 1; }
 done
 
-survivors=0 broken=0 run=0
-for i in "${selected[@]}"; do
+survivors=0 broken=0
+for i in "${!names[@]}"; do
   name="${names[$i]}"
-  run=$((run + 1))
   file="${tree}/${files[$i]}"
   log="${work}/mutant-${i}.log"
   if ! apply_edit "${file}" "${olds[$i]}" "${news[$i]}" 2>"${log}"; then
@@ -199,6 +183,7 @@ for i in "${selected[@]}"; do
   git -C "${tree}" checkout -- "${files[$i]}"
 done
 
+run=${#names[@]}
 echo "${run} mutants: $((run - survivors - broken)) killed, ${survivors} survived, ${broken} broken"
 [[ $((survivors + broken)) -gt 0 ]] && exit 1
 failed=0

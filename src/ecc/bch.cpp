@@ -108,11 +108,6 @@ std::uint64_t BchCode::parity_of(std::uint64_t data) const {
   // Systematic encoding: parity = (data(x) * x^r) mod g(x), one table
   // entry per data byte.
   const std::uint64_t* table = parity_table_.data();
-  if (parity_table_.size() == 4 * 256) {
-    // 32-bit data words (the OCEAN buffer): four independent loads.
-    return (table[data & 0xFFu] ^ table[256 + ((data >> 8) & 0xFFu)]) ^
-           (table[512 + ((data >> 16) & 0xFFu)] ^ table[768 + (data >> 24)]);
-  }
   std::uint64_t parity = 0;
   for (std::size_t b = 0; b < parity_table_.size(); b += 256, data >>= 8)
     parity ^= table[b + (data & 0xFFu)];
@@ -131,10 +126,7 @@ Bits BchCode::encode(std::uint64_t data) const {
 
 void BchCode::encode_words(const std::uint32_t* data, std::size_t count,
                            std::uint64_t* raw) const {
-  if (code_bits() > 64) {
-    BlockCode::encode_words(data, count, raw);
-    return;
-  }
+  NTC_REQUIRE(code_bits() <= 64);
   for (std::size_t i = 0; i < count; ++i) {
     const std::uint64_t d = data[i];
     if (data_bits_ < 32) NTC_REQUIRE((d >> data_bits_) == 0);
@@ -145,10 +137,7 @@ void BchCode::encode_words(const std::uint32_t* data, std::size_t count,
 void BchCode::decode_words(const std::uint64_t* raw, std::size_t count,
                            std::uint32_t* data,
                            BatchDecodeSummary& summary) const {
-  if (code_bits() > 64) {
-    BlockCode::decode_words(raw, count, data, summary);
-    return;
-  }
+  NTC_REQUIRE(code_bits() <= 64);
   summary = BatchDecodeSummary{};
   const std::uint64_t code_mask = ~std::uint64_t{0} >> (64 - code_bits());
   const std::uint64_t parity_mask = (std::uint64_t{1} << parity_bits_) - 1;

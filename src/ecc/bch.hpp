@@ -30,8 +30,8 @@ class BchCode final : public BlockCode {
   Bits encode(std::uint64_t data) const override;
   DecodeResult decode(const Bits& received) const override;
 
-  /// Word-direct burst lanes (code_bits() <= 64; wider codes keep the
-  /// BlockCode defaults).  Encode is raw = data << r | parity(data).
+  /// Word-direct burst lanes; they require code_bits() <= 64, as the
+  /// BlockCode defaults do.  Encode is raw = data << r | parity(data).
   /// Decode runs Berlekamp-Massey only on dirty words: a word is clean
   /// exactly when the parity of its data field equals its parity field,
   /// because its remainder mod g(x) is that XOR, has degree < r, and so

@@ -275,16 +275,16 @@ TEST(BchWordLanes, DecodeMatchesScalarOnSampledFiveBitErrors) {
   EXPECT_GT(miscorrected, 0);
 }
 
-TEST(BchWordLanesDeathTest, WiderThanOneWordKeepsTheDefaultPath) {
-  // BCH(88,64,t=3) codewords do not fit a raw word: the lanes defer to
-  // the BlockCode defaults, which reject the call.
+TEST(BchWordLanesDeathTest, RejectCodesWiderThanOneWord) {
+  // BCH(88,64,t=3) codewords do not fit a raw word.
   const BchCode code(8, 3, 64);
   ASSERT_EQ(code.code_bits(), 88u);
   std::uint32_t data = 1;
   std::uint64_t raw = 0;
   BatchDecodeSummary summary;
-  EXPECT_DEATH(code.encode_words(&data, 1, &raw), "n >= 1 && n <= 64");
-  EXPECT_DEATH(code.decode_words(&raw, 1, &data, summary), "n >= 1 && n <= 64");
+  EXPECT_DEATH(code.encode_words(&data, 1, &raw), "code_bits\\(\\) <= 64");
+  EXPECT_DEATH(code.decode_words(&raw, 1, &data, summary),
+               "code_bits\\(\\) <= 64");
 }
 
 }  // namespace
