@@ -4,13 +4,16 @@
 // compare the scalar and batch engines with each other, which proves
 // nothing once both call the same fault sampler.  This suite compares
 // them with constants instead: the CRC-32C of the CSV body (the '# build'
-// provenance lines excluded) of three in-process CampaignRunner grids at
+// provenance lines excluded) of four in-process CampaignRunner grids at
 // the paper's 1024-point FFT, 4 seeds per cell, at 1 and 4 workers with
 // the batch engine on and off:
 //   * {background, burst} x {none, secded, ocean} x {0.28, 0.30, 0.44} V
 //     — retention stuck cells, access flips, scripted events, peels;
 //   * a 2-tile / 2-bank secded+ocean mix at {0.30, 0.44} V — the banked
 //     shared memory and per-tile salt families;
+//   * the 4-tile / 4-bank secded+ocean mix campaign_bench's
+//     scripted_scalar runs, under {burst, stuck} at {0.30, 0.44} V — the
+//     word-interleaved bank map and four-way arbitration;
 //   * OCEAN at 0.24 V with two voltage escalations allowed — every seed
 //     moves the rail, so the stuck set is re-derived mid-trial.
 // A change that moves a ledger on purpose re-records these constants and
@@ -70,6 +73,25 @@ CampaignConfig tile_grid() {
   return config;
 }
 
+/// ntc_campaign's built-in "stuck" scenario.
+Scenario stuck_scenario() {
+  Scenario s;
+  s.name = "stuck";
+  s.spm_events = {FaultEvent::stuck_at(7, 1ull << 4, 0)};
+  return s;
+}
+
+CampaignConfig tile_grid_4x4() {
+  CampaignConfig config = base_config();
+  config.scenarios = {burst_scenario(), stuck_scenario()};
+  config.schemes = {};
+  config.tile_mixes = {TileMixSpec{
+      4, 4, {mitigation::SchemeKind::Secded, mitigation::SchemeKind::Ocean},
+      ""}};
+  config.voltages = {Volt{0.30}, Volt{0.44}};
+  return config;
+}
+
 CampaignConfig escalation_cell() {
   CampaignConfig config = base_config();
   config.schemes = {mitigation::SchemeKind::Ocean};
@@ -91,6 +113,7 @@ struct GoldenGrid {
 const GoldenGrid kGrids[] = {
     {"ClassicGrid", classic_grid, 72, 0xeac87597u, false},
     {"TileMix", tile_grid, 16, 0x3dc46065u, false},
+    {"TileMix4x4", tile_grid_4x4, 16, 0x9133584fu, false},
     {"OceanEscalation", escalation_cell, 4, 0x698bdc1au, true},
 };
 
