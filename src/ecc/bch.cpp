@@ -135,8 +135,8 @@ void BchCode::encode_words(const std::uint32_t* data, std::size_t count,
 }
 
 void BchCode::decode_words(const std::uint64_t* raw, std::size_t count,
-                           std::uint32_t* data,
-                           BatchDecodeSummary& summary) const {
+                           std::uint32_t* data, BatchDecodeSummary& summary,
+                           std::uint32_t* uncorrectable_at) const {
   NTC_REQUIRE(code_bits() <= 64);
   summary = BatchDecodeSummary{};
   const std::uint64_t code_mask = ~std::uint64_t{0} >> (64 - code_bits());
@@ -152,6 +152,10 @@ void BchCode::decode_words(const std::uint64_t* raw, std::size_t count,
     word.set_word(0, raw[i] & code_mask);
     const DecodeResult result = decode(word);
     data[i] = static_cast<std::uint32_t>(result.data);
+    if (uncorrectable_at != nullptr &&
+        result.status == DecodeStatus::DetectedUncorrectable)
+      uncorrectable_at[summary.uncorrectable_words] =
+          static_cast<std::uint32_t>(i);
     summary.add(result);
   }
 }

@@ -39,8 +39,8 @@ class BchCode final : public BlockCode {
   void encode_words(const std::uint32_t* data, std::size_t count,
                     std::uint64_t* raw) const override;
   void decode_words(const std::uint64_t* raw, std::size_t count,
-                    std::uint32_t* data,
-                    BatchDecodeSummary& summary) const override;
+                    std::uint32_t* data, BatchDecodeSummary& summary,
+                    std::uint32_t* uncorrectable_at = nullptr) const override;
 
   std::size_t parity_bits() const { return parity_bits_; }
   /// Generator polynomial (GF(2), LSB-first).

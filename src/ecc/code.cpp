@@ -43,8 +43,8 @@ void BlockCode::encode_words(const std::uint32_t* data, std::size_t count,
 }
 
 void BlockCode::decode_words(const std::uint64_t* raw, std::size_t count,
-                             std::uint32_t* data,
-                             BatchDecodeSummary& summary) const {
+                             std::uint32_t* data, BatchDecodeSummary& summary,
+                             std::uint32_t* uncorrectable_at) const {
   summary = BatchDecodeSummary{};
   DecodeResult results[kWordChunk];
   for (std::size_t off = 0; off < count; off += kWordChunk) {
@@ -52,6 +52,10 @@ void BlockCode::decode_words(const std::uint64_t* raw, std::size_t count,
     decode_batch(raw + off, m, results);
     for (std::size_t i = 0; i < m; ++i) {
       data[off + i] = static_cast<std::uint32_t>(results[i].data);
+      if (uncorrectable_at != nullptr &&
+          results[i].status == DecodeStatus::DetectedUncorrectable)
+        uncorrectable_at[summary.uncorrectable_words] =
+            static_cast<std::uint32_t>(off + i);
       summary.add(results[i]);
     }
   }

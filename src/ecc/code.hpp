@@ -81,13 +81,16 @@ class BlockCode {
   /// the decoder writes the uint32 data lane directly and returns only
   /// the aggregate summary.  Defaults chunk through
   /// encode_batch/decode_batch; SECDED codes override with fused lanes.
-  /// Must be bit-identical to the scalar path (data words, counter
-  /// totals, and the first-uncorrectable index).
+  /// Must be bit-identical to the scalar path (data words and counter
+  /// totals).  When `uncorrectable_at` is given, decode_words writes
+  /// the index of every word that decodes as DetectedUncorrectable
+  /// there, ascending (summary.uncorrectable_words entries; room for
+  /// `count`).
   virtual void encode_words(const std::uint32_t* data, std::size_t count,
                             std::uint64_t* raw) const;
   virtual void decode_words(const std::uint64_t* raw, std::size_t count,
-                            std::uint32_t* data,
-                            BatchDecodeSummary& summary) const;
+                            std::uint32_t* data, BatchDecodeSummary& summary,
+                            std::uint32_t* uncorrectable_at = nullptr) const;
 
   /// Storage overhead: code_bits / data_bits.
   double overhead() const {

@@ -335,9 +335,10 @@ void HammingSecded::encode_words(const std::uint32_t* data, std::size_t count,
 
 void HammingSecded::decode_words(const std::uint64_t* raw, std::size_t count,
                                  std::uint32_t* data,
-                                 BatchDecodeSummary& summary) const {
+                                 BatchDecodeSummary& summary,
+                                 std::uint32_t* uncorrectable_at) const {
   if (n_ > 64 || !packed_dec_) {
-    BlockCode::decode_words(raw, count, data, summary);
+    BlockCode::decode_words(raw, count, data, summary, uncorrectable_at);
     return;
   }
   summary = BatchDecodeSummary{};
@@ -362,6 +363,9 @@ void HammingSecded::decode_words(const std::uint64_t* raw, std::size_t count,
       ++summary.corrected_words;
       ++summary.corrected_bits;
     } else {
+      if (uncorrectable_at != nullptr)
+        uncorrectable_at[summary.uncorrectable_words] =
+            static_cast<std::uint32_t>(i);
       ++summary.uncorrectable_words;
     }
     data[i] = static_cast<std::uint32_t>(d);

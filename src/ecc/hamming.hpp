@@ -50,8 +50,8 @@ class HammingSecded final : public BlockCode {
   void encode_words(const std::uint32_t* data, std::size_t count,
                     std::uint64_t* raw) const override;
   void decode_words(const std::uint64_t* raw, std::size_t count,
-                    std::uint32_t* data,
-                    BatchDecodeSummary& summary) const override;
+                    std::uint32_t* data, BatchDecodeSummary& summary,
+                    std::uint32_t* uncorrectable_at = nullptr) const override;
 
   /// Number of parity bits excluding the overall parity.
   std::size_t hamming_parity_bits() const { return r_; }

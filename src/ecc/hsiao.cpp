@@ -228,9 +228,10 @@ void HsiaoSecded::encode_words(const std::uint32_t* data, std::size_t count,
 
 void HsiaoSecded::decode_words(const std::uint64_t* raw, std::size_t count,
                                std::uint32_t* data,
-                               BatchDecodeSummary& summary) const {
+                               BatchDecodeSummary& summary,
+                               std::uint32_t* uncorrectable_at) const {
   if (k_ + r_ > 64) {
-    BlockCode::decode_words(raw, count, data, summary);
+    BlockCode::decode_words(raw, count, data, summary, uncorrectable_at);
     return;
   }
   summary = BatchDecodeSummary{};
@@ -248,6 +249,9 @@ void HsiaoSecded::decode_words(const std::uint64_t* raw, std::size_t count,
         ++summary.corrected_words;
         ++summary.corrected_bits;
       } else {
+        if (uncorrectable_at != nullptr)
+          uncorrectable_at[summary.uncorrectable_words] =
+              static_cast<std::uint32_t>(i);
         ++summary.uncorrectable_words;
       }
     }

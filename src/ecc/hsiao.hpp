@@ -48,8 +48,8 @@ class HsiaoSecded final : public BlockCode {
   void encode_words(const std::uint32_t* data, std::size_t count,
                     std::uint64_t* raw) const override;
   void decode_words(const std::uint64_t* raw, std::size_t count,
-                    std::uint32_t* data,
-                    BatchDecodeSummary& summary) const override;
+                    std::uint32_t* data, BatchDecodeSummary& summary,
+                    std::uint32_t* uncorrectable_at = nullptr) const override;
 
   /// Total number of ones in H over the data columns — the XOR-tree
   /// size, which the codec energy model consumes.

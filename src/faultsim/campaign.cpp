@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <memory>
 #include <ostream>
+#include <span>
 #include <sstream>
 
 #include "common/assert.hpp"
@@ -420,12 +421,18 @@ RunRecord CampaignRunner::execute_one_tiled(const Scenario& scenario,
   const std::uint64_t faulted_phases = run.faulted_phases + run.crc_mismatches;
 
   // Readback in logical order through the decoding shared-memory path,
-  // exactly like the classic readback through the scratchpad.
+  // exactly like the classic readback through the scratchpad: each
+  // shard is contiguous in its region, so it reads as one burst.
   std::vector<std::uint32_t> measured_words(config_.fft_points);
   std::vector<std::complex<double>> measured(config_.fft_points);
+  const std::uint32_t shard_words = fft.shard_words();
+  for (std::uint32_t first = 0; first < config_.fft_points;
+       first += shard_words) {
+    platform.shared().read_burst(
+        fft.physical_index(first),
+        std::span(measured_words).subspan(first, shard_words));
+  }
   for (std::size_t i = 0; i < config_.fft_points; ++i) {
-    platform.shared().read_word(
-        fft.physical_index(static_cast<std::uint32_t>(i)), measured_words[i]);
     const ComplexQ15 q = ComplexQ15::unpack(measured_words[i]);
     measured[i] = std::complex<double>(q.re.to_double(), q.im.to_double()) /
                   fft.output_scale();

@@ -52,12 +52,11 @@ std::uint64_t Arbiter::end_epoch() {
   while (remaining > 0) {
     // Grant the tile whose next request is issued earliest; ties go to
     // the configured policy (rotating pointer or lowest tile id).
+    // The scan starts at the pointer (0 under fixed priority) and wraps.
     std::uint32_t chosen = tiles;
     std::uint64_t best = ~std::uint64_t{0};
-    for (std::uint32_t i = 0; i < tiles; ++i) {
-      const std::uint32_t t = config_.policy == ArbitrationPolicy::RoundRobin
-                                  ? (rr_ + i) % tiles
-                                  : i;
+    for (std::uint32_t i = 0, t = rr_; i < tiles; ++i, ++t) {
+      if (t == tiles) t = 0;
       if (next[t] >= pending_[t].size()) continue;
       if (clock[t] < best) {
         best = clock[t];
@@ -75,7 +74,7 @@ std::uint64_t Arbiter::end_epoch() {
     ++stats_.requests;
     stats_.beats += rq.beats;
     if (config_.policy == ArbitrationPolicy::RoundRobin)
-      rr_ = (chosen + 1) % tiles;
+      rr_ = chosen + 1 == tiles ? 0 : chosen + 1;
   }
 
   std::uint64_t epoch_max = 0;

@@ -88,7 +88,9 @@ class Arbiter {
   ArbiterConfig config_;
   std::vector<std::vector<Request>> pending_;   ///< per tile, issue order
   std::vector<std::uint64_t> epoch_compute_;    ///< per tile
-  std::uint32_t rr_ = 0;  ///< round-robin grant pointer (persists epochs)
+  /// Round-robin grant pointer (persists epochs; stays 0 under fixed
+  /// priority).
+  std::uint32_t rr_ = 0;
   ArbiterStats stats_;
   std::vector<std::uint64_t> tile_stall_;  ///< cumulative per tile
   std::vector<std::uint64_t> bank_busy_;   ///< cumulative per bank

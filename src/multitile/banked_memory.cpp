@@ -1,5 +1,6 @@
 #include "multitile/banked_memory.hpp"
 
+#include <algorithm>
 #include <string>
 
 #include "common/assert.hpp"
@@ -8,6 +9,9 @@
 namespace ntc::multitile {
 
 namespace {
+
+/// Words staged per pass of a burst (the shared memory's codec chunk).
+constexpr std::uint32_t kBurstChunk = 256;
 
 bool is_power_of_two(std::uint32_t n) { return n != 0 && (n & (n - 1)) == 0; }
 
@@ -21,7 +25,7 @@ std::uint32_t ilog2(std::uint32_t n) {
 
 BankedMemory::BankedMemory(BankedMemoryConfig config)
     : config_(std::move(config)), shift_(ilog2(config_.banks)) {
-  NTC_REQUIRE(is_power_of_two(config_.banks));
+  NTC_REQUIRE(is_power_of_two(config_.banks) && config_.banks <= 256);
   NTC_REQUIRE(config_.interleave_words >= 1);
   NTC_REQUIRE(config_.total_words %
                   (config_.banks * config_.interleave_words) ==
@@ -42,6 +46,10 @@ BankedMemory::BankedMemory(BankedMemoryConfig config)
         sim::array_stream(config_.seed, sim::ArrayKind::Spm, b),
         config_.inject_faults, config_.tables));
   }
+  bank_of_.resize(config_.total_words);
+  for (std::uint32_t w = 0; w < config_.total_words; ++w)
+    bank_of_[w] = static_cast<std::uint8_t>(map(w).bank);
+  runs_.resize(config_.banks);
 }
 
 BankAddress BankedMemory::map(std::uint32_t word) const {
@@ -62,6 +70,60 @@ std::uint64_t BankedMemory::read_raw(std::uint32_t word) {
 void BankedMemory::write_raw(std::uint32_t word, std::uint64_t value) {
   const BankAddress a = map(word);
   banks_[a.bank]->write_raw(a.offset, value);
+}
+
+void BankedMemory::plan_runs(std::uint32_t word, std::uint32_t count) {
+  for (BankRun& run : runs_) run.count = 0;
+  for (std::uint32_t w = word; w < word + count; ++w) {
+    BankRun& run = runs_[bank_of_[w]];
+    if (run.count++ == 0) run.first = map(w).offset;
+  }
+  std::uint32_t start = 0;
+  for (BankRun& run : runs_) {
+    run.start = start;
+    start += run.count;
+  }
+}
+
+void BankedMemory::read_raw_burst(std::uint32_t word, std::uint64_t* out,
+                                  std::uint32_t count) {
+  NTC_REQUIRE(static_cast<std::uint64_t>(word) + count <= words());
+  if (config_.banks == 1) {
+    banks_[0]->read_raw_burst(word, out, count);
+    return;
+  }
+  std::uint64_t staged[kBurstChunk];
+  for (std::uint32_t off = 0; off < count; off += kBurstChunk) {
+    const std::uint32_t m = std::min(count - off, kBurstChunk);
+    plan_runs(word + off, m);
+    for (std::uint32_t b = 0; b < config_.banks; ++b)
+      banks_[b]->read_raw_burst(runs_[b].first, staged + runs_[b].start,
+                                runs_[b].count);
+    // Bank b's k-th word in logical order is its burst's k-th word.
+    for (std::uint32_t i = 0; i < m; ++i)
+      out[off + i] = staged[runs_[bank_of_[word + off + i]].start++];
+  }
+}
+
+void BankedMemory::write_raw_burst(std::uint32_t word,
+                                   const std::uint64_t* values,
+                                   std::uint32_t count) {
+  NTC_REQUIRE(static_cast<std::uint64_t>(word) + count <= words());
+  if (config_.banks == 1) {
+    banks_[0]->write_raw_burst(word, values, count);
+    return;
+  }
+  std::uint64_t staged[kBurstChunk];
+  for (std::uint32_t off = 0; off < count; off += kBurstChunk) {
+    const std::uint32_t m = std::min(count - off, kBurstChunk);
+    plan_runs(word + off, m);
+    for (std::uint32_t i = 0; i < m; ++i)
+      staged[runs_[bank_of_[word + off + i]].start++] = values[off + i];
+    for (std::uint32_t b = 0; b < config_.banks; ++b)
+      banks_[b]->write_raw_burst(runs_[b].first,
+                                 staged + runs_[b].start - runs_[b].count,
+                                 runs_[b].count);
+  }
 }
 
 void BankedMemory::reset(std::uint64_t seed, Volt vdd) {

@@ -113,31 +113,28 @@ sim::AccessStatus SharedMemory::note_summary(
   return sim::AccessStatus::Ok;
 }
 
-sim::AccessStatus SharedMemory::burst_read_region(SharedRegion& region,
-                                                  std::uint32_t word,
-                                                  std::uint32_t count,
-                                                  std::uint32_t* out) {
+sim::AccessStatus SharedMemory::burst_read_region(
+    SharedRegion& region, std::uint32_t word, std::uint32_t count,
+    std::uint32_t* out, std::vector<std::uint32_t>* uncorrectable_at,
+    std::uint32_t at_base) {
   sim::AccessStatus status = sim::AccessStatus::Ok;
   std::uint64_t raws[kCodecChunk];
+  std::uint32_t bad[kCodecChunk];
   ecc::BatchDecodeSummary summary;
   for (std::uint32_t off = 0; off < count; off += kCodecChunk) {
     const std::uint32_t m = std::min(count - off, kCodecChunk);
-    // Raw words in ascending logical order: with one bank this is the
-    // amortized raw burst, with several the per-word walk — either way
-    // each bank's draws happen in the same order the fallback performs
-    // them.
-    if (banked_.bank_count() == 1) {
-      banked_.bank(0).read_raw_burst(word + off, raws, m);
-    } else {
-      for (std::uint32_t i = 0; i < m; ++i)
-        raws[i] = banked_.read_raw(word + off + i);
-    }
+    banked_.read_raw_burst(word + off, raws, m);
     if (!region.code) {
       for (std::uint32_t i = 0; i < m; ++i)
         out[off + i] = static_cast<std::uint32_t>(raws[i]);
       continue;
     }
-    region.code->decode_words(raws, m, out + off, summary);
+    region.code->decode_words(raws, m, out + off, summary,
+                              uncorrectable_at != nullptr ? bad : nullptr);
+    if (uncorrectable_at != nullptr) {
+      for (std::uint64_t k = 0; k < summary.uncorrectable_words; ++k)
+        uncorrectable_at->push_back(at_base + off + bad[k]);
+    }
     status = worse_status(status, note_summary(region, summary));
   }
   return status;
@@ -154,12 +151,7 @@ void SharedMemory::burst_write_region(SharedRegion& region, std::uint32_t word,
     } else {
       for (std::uint32_t i = 0; i < m; ++i) raws[i] = data[off + i];
     }
-    if (banked_.bank_count() == 1) {
-      banked_.bank(0).write_raw_burst(word + off, raws, m);
-    } else {
-      for (std::uint32_t i = 0; i < m; ++i)
-        banked_.write_raw(word + off + i, raws[i]);
-    }
+    banked_.write_raw_burst(word + off, raws, m);
   }
 }
 
@@ -167,20 +159,45 @@ sim::AccessStatus SharedMemory::read_burst(std::uint32_t word_index,
                                            std::span<std::uint32_t> data) {
   if (!sim::burst_native_enabled())
     return MemoryPort::read_burst(word_index, data);
+  return native_read_burst(word_index, data, nullptr);
+}
+
+sim::AccessStatus SharedMemory::read_burst_located(
+    std::uint32_t word_index, std::span<std::uint32_t> data,
+    std::vector<std::uint32_t>& uncorrectable_at) {
+  uncorrectable_at.clear();
+  if (sim::burst_native_enabled())
+    return native_read_burst(word_index, data, &uncorrectable_at);
+  NTC_REQUIRE(static_cast<std::uint64_t>(word_index) + data.size() <=
+              banked_.words());
+  sim::AccessStatus status = sim::AccessStatus::Ok;
+  for (std::uint32_t i = 0; i < data.size(); ++i) {
+    const sim::AccessStatus word_status = read_word(word_index + i, data[i]);
+    if (word_status == sim::AccessStatus::DetectedUncorrectable)
+      uncorrectable_at.push_back(i);
+    status = worse_status(status, word_status);
+  }
+  return status;
+}
+
+sim::AccessStatus SharedMemory::native_read_burst(
+    std::uint32_t word_index, std::span<std::uint32_t> data,
+    std::vector<std::uint32_t>* uncorrectable_at) {
   NTC_REQUIRE(static_cast<std::uint64_t>(word_index) + data.size() <=
               banked_.words());
   NTC_TELEM_EVENT(telemetry::EventKind::MemoryBurst, "shared_read_burst",
                   word_index, data.size());
   sim::AccessStatus status = sim::AccessStatus::Ok;
   std::uint32_t word = word_index;
-  std::size_t done = 0;
+  std::uint32_t done = 0;
   while (done < data.size()) {
     SharedRegion& region = regions_[region_of(word)];
     const std::uint32_t in_region = std::min<std::uint32_t>(
         region.base + region.words - word,
         static_cast<std::uint32_t>(data.size() - done));
     status = worse_status(
-        status, burst_read_region(region, word, in_region, data.data() + done));
+        status, burst_read_region(region, word, in_region, data.data() + done,
+                                  uncorrectable_at, done));
     word += in_region;
     done += in_region;
   }

@@ -12,11 +12,12 @@
 //
 // Determinism contract (mirrors sim::EccMemory): native bursts are
 // observably identical to the word-at-a-time fallback — bursts split at
-// region boundaries, raw words are touched in ascending logical order
-// (so the per-bank fault-model RNG draw order never depends on the bank
-// count's interleave pattern), and decode consumes no RNG.  A 1-tile /
-// 1-bank SharedMemory is therefore byte-identical in data, counters and
-// RNG consumption to the classic EccMemory scratchpad.
+// region boundaries, every bank sees its words in ascending order (one
+// BankedMemory raw burst per codec chunk, which issues one ascending
+// run per bank), and decode consumes no RNG.  Banks share no fault
+// state, so the order across banks is free.  A 1-tile / 1-bank
+// SharedMemory is therefore byte-identical in data, counters and RNG
+// consumption to the classic EccMemory scratchpad.
 #pragma once
 
 #include <cstdint>
@@ -56,6 +57,12 @@ class SharedMemory final : public sim::MemoryPort {
                                std::span<std::uint32_t> data) override;
   sim::AccessStatus write_burst(std::uint32_t word_index,
                                 std::span<const std::uint32_t> data) override;
+  /// read_burst that also lists, ascending, the burst offsets of the
+  /// words that decoded as DetectedUncorrectable (cleared first).  With
+  /// native bursts disabled it reads word by word.
+  sim::AccessStatus read_burst_located(
+      std::uint32_t word_index, std::span<std::uint32_t> data,
+      std::vector<std::uint32_t>& uncorrectable_at);
 
   BankedMemory& banks() { return banked_; }
   const BankedMemory& banks() const { return banked_; }
@@ -80,9 +87,17 @@ class SharedMemory final : public sim::MemoryPort {
  private:
   sim::AccessStatus note_summary(SharedRegion& region,
                                  const ecc::BatchDecodeSummary& summary);
-  sim::AccessStatus burst_read_region(SharedRegion& region, std::uint32_t word,
-                                      std::uint32_t count,
-                                      std::uint32_t* out);
+  /// The native read_burst; appends uncorrectable burst offsets when
+  /// `uncorrectable_at` is given.
+  sim::AccessStatus native_read_burst(
+      std::uint32_t word_index, std::span<std::uint32_t> data,
+      std::vector<std::uint32_t>* uncorrectable_at);
+  /// One region's share of a read burst; `at_base` is the burst offset
+  /// of `word`.
+  sim::AccessStatus burst_read_region(
+      SharedRegion& region, std::uint32_t word, std::uint32_t count,
+      std::uint32_t* out, std::vector<std::uint32_t>* uncorrectable_at,
+      std::uint32_t at_base);
   void burst_write_region(SharedRegion& region, std::uint32_t word,
                           std::uint32_t count, const std::uint32_t* data);
 

@@ -96,9 +96,9 @@ void TileLink::log_range(std::uint32_t word, std::uint32_t count) {
   }
   std::uint32_t i = 0;
   while (i < count) {
-    const std::uint32_t bank = banks.map(word + i).bank;
+    const std::uint32_t bank = banks.bank_of(word + i);
     std::uint32_t run = 1;
-    while (i + run < count && banks.map(word + i + run).bank == bank) ++run;
+    while (i + run < count && banks.bank_of(word + i + run) == bank) ++run;
     arbiter_.log_access(tile_, bank, run);
     i += run;
   }
@@ -109,16 +109,11 @@ sim::AccessStatus TileLink::read_burst_counted(std::uint32_t word_index,
                                                std::uint64_t& uncorrectable) {
   const std::uint32_t n = static_cast<std::uint32_t>(data.size());
   log_range(word_index, n);
-  sim::AccessStatus status = sim::AccessStatus::Ok;
-  uncorrectable = 0;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const sim::AccessStatus word_status =
-        shared_.read_word(word_index + i, data[i]);
-    status = sim::worse_status(status, word_status);
-    if (word_status != sim::AccessStatus::DetectedUncorrectable) continue;
-    ++uncorrectable;
+  const sim::AccessStatus status =
+      shared_.read_burst_located(word_index, data, uncorrectable_at_);
+  uncorrectable = uncorrectable_at_.size();
+  for (const std::uint32_t i : uncorrectable_at_)
     if (i + 1 < n) log_range(word_index + i + 1, n - i - 1);
-  }
   return status;
 }
 

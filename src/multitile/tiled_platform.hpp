@@ -58,8 +58,8 @@ struct TiledPlatformConfig {
 class TiledPlatform;
 
 /// One tile's port into the shared memory: forwards every access and
-/// logs its bank traffic (beats, coalesced per bank run) into the
-/// arbiter's current epoch.
+/// logs its bank traffic (beats, coalesced per bank run, from the bank
+/// table of BankedMemory) into the arbiter's current epoch.
 class TileLink final : public sim::MemoryPort {
  public:
   TileLink(SharedMemory& shared, Arbiter& arbiter, std::uint32_t tile)
@@ -86,9 +86,10 @@ class TileLink final : public sim::MemoryPort {
     log_range(word_index, static_cast<std::uint32_t>(data.size()));
     return shared_.write_burst(word_index, data);
   }
-  /// Reads word by word through the shared memory.  The whole burst is
-  /// logged once, and its remainder again after each uncorrectable
-  /// word: the initiator re-requests the rest of the burst.
+  /// One shared-memory burst that reports where its uncorrectable
+  /// words were.  The whole burst is logged once, and its remainder
+  /// again after each uncorrectable word, in ascending order: the
+  /// initiator re-requests the rest of the burst.
   sim::AccessStatus read_burst_counted(std::uint32_t word_index,
                                        std::span<std::uint32_t> data,
                                        std::uint64_t& uncorrectable) override;
@@ -99,6 +100,7 @@ class TileLink final : public sim::MemoryPort {
   SharedMemory& shared_;
   Arbiter& arbiter_;
   std::uint32_t tile_;
+  std::vector<std::uint32_t> uncorrectable_at_;  ///< counted-read scratch
 };
 
 class TiledPlatform {

@@ -159,8 +159,11 @@ std::uint64_t SramModule::read_raw(std::uint32_t index) {
   std::uint64_t flips = 0;
   if (flips_possible_) {
     flips = gather_flips(AccessKind::Read, index, ctx_);
-    stats_.injected_read_flips +=
-        static_cast<std::uint64_t>(__builtin_popcountll(flips));
+    if (flips != 0) {
+      const auto bits = static_cast<std::uint64_t>(__builtin_popcountll(flips));
+      stats_.injected_read_flips += bits;
+      NTC_TELEM_COUNT("ntc_sram_injected_read_flips_total", bits);
+    }
   }
   return (value ^ flips) & mask();
 }
@@ -297,8 +300,11 @@ void SramModule::write_raw(std::uint32_t index, std::uint64_t value) {
     return;
   }
   const std::uint64_t flips = gather_flips(AccessKind::Write, index, ctx_);
-  stats_.injected_write_flips +=
-      static_cast<std::uint64_t>(__builtin_popcountll(flips));
+  if (flips != 0) {
+    const auto bits = static_cast<std::uint64_t>(__builtin_popcountll(flips));
+    stats_.injected_write_flips += bits;
+    NTC_TELEM_COUNT("ntc_sram_injected_write_flips_total", bits);
+  }
   data_[index] = (value ^ flips) & mask();
 }
 

@@ -93,7 +93,7 @@ TEST_P(BlockCodeBasics, CorrectsGuaranteedErrorWeights) {
   }
 }
 
-TEST_P(BlockCodeConformance, EncodeIsDeterministicAndInjective) {
+TEST_P(BlockCodeBasics, EncodeIsDeterministicAndInjective) {
   Rng rng(13);
   const std::uint64_t a = random_data(rng);
   std::uint64_t b;

@@ -10,10 +10,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
+#include "common/rng.hpp"
+#include "energy/memory_calculator.hpp"
+#include "sim/sram_module.hpp"
 #include "telemetry/build_info.hpp"
 #include "telemetry/exporters.hpp"
 #include "telemetry/metrics.hpp"
@@ -267,6 +273,51 @@ TEST_F(TelemetryTest, ScopedMuteSilencesOnlyItsScope) {
   EXPECT_EQ(find_event(traces, "still_muted"), nullptr);
   EXPECT_NE(find_event(traces, "after_mute"), nullptr);
   EXPECT_EQ(counter("ntc_test_muted_total").value(), 0u);
+}
+
+TEST_F(TelemetryTest, PerWordAndBurstAccessesCountTheSameFlips) {
+  // Two arrays from one seed at 0.30 V, one moved word by word and one
+  // by raw bursts: the Prometheus flip counters must follow SramStats
+  // whichever path an array takes.
+  constexpr std::uint32_t kWords = 512;
+  const auto make_array = [] {
+    energy::MemoryCalculator calc(energy::MemoryStyle::CellBasedImec40,
+                                  energy::MemoryGeometry{kWords, 32});
+    return sim::SramModule("spm", kWords, 39, calc.access_model(),
+                           calc.retention_model(), Volt{0.30}, Rng(7));
+  };
+  const auto flip_counters = [] {
+    return std::make_pair(
+        counter("ntc_sram_injected_read_flips_total").value(),
+        counter("ntc_sram_injected_write_flips_total").value());
+  };
+  std::vector<std::uint64_t> values(kWords);
+  for (std::uint32_t w = 0; w < kWords; ++w)
+    values[w] = (w * 0x9E3779B97F4A7C15ull) & ((std::uint64_t{1} << 39) - 1);
+  std::vector<std::uint64_t> out(kWords);
+
+  const auto before_walk = flip_counters();
+  sim::SramModule walk = make_array();
+  for (int pass = 0; pass < 4; ++pass) {
+    for (std::uint32_t w = 0; w < kWords; ++w) walk.write_raw(w, values[w]);
+    for (std::uint32_t w = 0; w < kWords; ++w) out[w] = walk.read_raw(w);
+  }
+  const auto after_walk = flip_counters();
+  sim::SramModule burst = make_array();
+  for (int pass = 0; pass < 4; ++pass) {
+    burst.write_raw_burst(0, values.data(), kWords);
+    burst.read_raw_burst(0, out.data(), kWords);
+  }
+  const auto after_burst = flip_counters();
+
+  const std::uint64_t walk_reads = after_walk.first - before_walk.first;
+  const std::uint64_t walk_writes = after_walk.second - before_walk.second;
+  EXPECT_EQ(walk_reads, walk.stats().injected_read_flips);
+  EXPECT_EQ(walk_writes, walk.stats().injected_write_flips);
+  EXPECT_EQ(after_burst.first - after_walk.first, walk_reads);
+  EXPECT_EQ(after_burst.second - after_walk.second, walk_writes);
+  EXPECT_GT(walk_reads, 0u) << "0.30 V must flip reads";
+  EXPECT_GT(walk_writes, 0u) << "0.30 V must flip writes";
 }
 #else
 TEST_F(TelemetryTest, MacrosCompileToNothingWhenSwitchedOff) {
