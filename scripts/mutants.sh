@@ -44,16 +44,23 @@ mutant "per-index salts << 9" \
   faultsim_golden_ledger_test 'Grids/GoldenLedger.*TileMix*'
 
 # --- counted bursts ---------------------------------------------------
+# TileLink's counted read logs the burst, then the remainder after each
+# uncorrectable word its shared-memory burst located.
 mutant "TileLink logs the burst once" \
   src/multitile/tiled_platform.cpp \
-  'if (i + 1 < n) log_range(word_index + i + 1, n - i - 1);' \
-  'if (false) log_range(word_index + i + 1, n - i - 1);' \
-  multitile_test 'TileLink.CountedReadChargesEachReRequestedRemainder'
+  'for (const std::uint32_t i : uncorrectable_at_)' \
+  'for (const std::uint32_t i : std::vector<std::uint32_t>{})' \
+  multitile_test 'TileLink.*'
 mutant "TileLink re-requests one word too many" \
   src/multitile/tiled_platform.cpp \
   'if (i + 1 < n) log_range(word_index + i + 1, n - i - 1);' \
   'if (i + 1 < n) log_range(word_index + i, n - i);' \
-  multitile_test 'TileLink.CountedReadChargesEachReRequestedRemainder'
+  multitile_test 'TileLink.*'
+mutant "TileLink skips the first remainder" \
+  src/multitile/tiled_platform.cpp \
+  'if (i + 1 < n) log_range(word_index + i + 1, n - i - 1);' \
+  'if (i + 1 < n && i != uncorrectable_at_.front()) log_range(word_index + i + 1, n - i - 1);' \
+  multitile_test 'TileLink.CountedReadMatchesAPerWordReference'
 mutant "EccMemory drops the count" \
   src/sim/ecc_memory.cpp \
   'uncorrectable = stats_.uncorrectable_words - before;' \
@@ -64,6 +71,28 @@ mutant "MemoryPort default drops the count" \
   'if (word_status == AccessStatus::DetectedUncorrectable) ++uncorrectable;' \
   'if (word_status == AccessStatus::DetectedUncorrectable) {}' \
   sim_burst_test 'EccBurstCounted.CountsEveryUncorrectableWord'
+
+# --- banked bursts and the arbiter replay -----------------------------
+mutant "a bank's burst run starts one offset late (per-word walk)" \
+  src/multitile/banked_memory.cpp \
+  'if (run.count++ == 0) run.first = map(w).offset;' \
+  'if (run.count++ == 0) run.first = map(w).offset + 1;' \
+  multitile_test 'BankedBurst.MatchesThePerWordWalk'
+mutant "a bank's burst run starts one offset late (golden ledger)" \
+  src/multitile/banked_memory.cpp \
+  'if (run.count++ == 0) run.first = map(w).offset;' \
+  'if (run.count++ == 0) run.first = map(w).offset + 1;' \
+  faultsim_golden_ledger_test 'Grids/GoldenLedger.*TileMix4x4*'
+mutant "a tie goes to the later tile (modulo-scan reference)" \
+  src/multitile/arbiter.cpp \
+  'if (clock[t] < best) {' \
+  'if (clock[t] < best || (clock[t] == best && best != kDone)) {' \
+  multitile_test 'Arbiter.EndEpochMatchesTheModuloScanReference'
+mutant "a tie goes to the later tile (golden ledger)" \
+  src/multitile/arbiter.cpp \
+  'if (clock[t] < best) {' \
+  'if (clock[t] < best || (clock[t] == best && best != kDone)) {' \
+  faultsim_golden_ledger_test 'Grids/GoldenLedger.*TileMix_*'
 
 # --- the retention pass -----------------------------------------------
 mutant "retention candidate limit halved" \

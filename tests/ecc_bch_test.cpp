@@ -107,19 +107,21 @@ TEST_P(BchParamTest, CleanWordDecodesOk) {
 }
 
 /// True when decode_words() gives `raw` the data and counters the scalar
-/// decode() gives it.
+/// decode() gives it, and locates it when it is uncorrectable.
 bool word_lane_matches_scalar(const BchCode& code, std::uint64_t raw) {
   const DecodeResult ref = code.decode(Bits::from_u64(raw));
   std::uint32_t data = 0;
   BatchDecodeSummary summary;
-  code.decode_words(&raw, 1, &data, summary);
+  std::uint32_t at = 7;
+  code.decode_words(&raw, 1, &data, summary, &at);
   const bool corrected = ref.status == DecodeStatus::Corrected;
   const bool uncorrectable = ref.status == DecodeStatus::DetectedUncorrectable;
   return data == static_cast<std::uint32_t>(ref.data) &&
          summary.corrected_words == (corrected ? 1u : 0u) &&
          summary.corrected_bits ==
              (corrected ? static_cast<std::uint64_t>(ref.corrected_bits) : 0u) &&
-         summary.uncorrectable_words == (uncorrectable ? 1u : 0u);
+         summary.uncorrectable_words == (uncorrectable ? 1u : 0u) &&
+         at == (uncorrectable ? 0u : 7u);
 }
 
 TEST_P(BchParamTest, WordLanesMatchScalarCodec) {

@@ -29,6 +29,7 @@ struct SimdSwitchGuard {
 struct DecodeRun {
   std::vector<std::uint32_t> data;
   BatchDecodeSummary summary;
+  std::vector<std::uint32_t> uncorrectable_at;
 };
 
 DecodeRun decode_with(const BlockCode& code, bool simd_on,
@@ -37,7 +38,10 @@ DecodeRun decode_with(const BlockCode& code, bool simd_on,
   sim::set_simd_enabled(simd_on);
   DecodeRun run;
   run.data.resize(raw.size());
-  code.decode_words(raw.data(), raw.size(), run.data.data(), run.summary);
+  run.uncorrectable_at.resize(raw.size());
+  code.decode_words(raw.data(), raw.size(), run.data.data(), run.summary,
+                    run.uncorrectable_at.data());
+  run.uncorrectable_at.resize(run.summary.uncorrectable_words);
   return run;
 }
 
@@ -51,6 +55,16 @@ void expect_same_decode(const BlockCode& code,
   EXPECT_EQ(on.summary.corrected_bits, off.summary.corrected_bits) << label;
   EXPECT_EQ(on.summary.uncorrectable_words, off.summary.uncorrectable_words)
       << label;
+  // Where the uncorrectable words were: the BlockCode default, which
+  // classifies each word through decode_batch, is the reference.
+  std::vector<std::uint32_t> data(raw.size());
+  BatchDecodeSummary summary;
+  std::vector<std::uint32_t> at(raw.size());
+  code.BlockCode::decode_words(raw.data(), raw.size(), data.data(), summary,
+                               at.data());
+  at.resize(summary.uncorrectable_words);
+  EXPECT_EQ(on.uncorrectable_at, at) << label;
+  EXPECT_EQ(off.uncorrectable_at, at) << label;
 }
 
 /// Every 0/1/2-bit error pattern over the 39 codeword positions applied
