@@ -92,7 +92,7 @@ mutant "a tie goes to the later tile (golden ledger)" \
   src/multitile/arbiter.cpp \
   'if (clock[t] < best) {' \
   'if (clock[t] < best || (clock[t] == best && best != kDone)) {' \
-  faultsim_golden_ledger_test 'Grids/GoldenLedger.*TileMix_*'
+  faultsim_golden_ledger_test 'Grids/GoldenLedger.*TileMix4x4*'
 
 # --- the retention pass -----------------------------------------------
 mutant "retention candidate limit halved" \

@@ -13,7 +13,8 @@
 //     `beats + arbitration_latency` cycles;
 //   * when several tiles are ready at the same instant the grant order
 //     is the configured policy: round-robin (rotating pointer) or fixed
-//     priority (lowest tile id wins).
+//     priority (lowest tile id wins).  The grant scan starts at the
+//     pointer and wraps without a division.
 //
 // A tile's epoch duration is its compute cycles plus its stalls; the
 // epoch costs the slowest tile's duration (barrier semantics), and the
