@@ -72,6 +72,25 @@ mutant "MemoryPort default drops the count" \
   'if (word_status == AccessStatus::DetectedUncorrectable) {}' \
   sim_burst_test 'EccBurstCounted.CountsEveryUncorrectableWord'
 
+# --- telemetry counters -------------------------------------------------
+# The Prometheus flip and ECC counters count per-word accesses as well
+# as bursts, so they do not depend on the path an array takes.
+mutant "per-word reads stop counting flips" \
+  src/sim/sram_module.cpp \
+  'NTC_TELEM_COUNT("ntc_sram_injected_read_flips_total", bits);' \
+  '(void)bits;' \
+  telemetry_test 'TelemetryTest.PerWordAndBurstAccessesCountTheSameFlips'
+mutant "EccMemory's per-word read stops counting corrections" \
+  src/sim/ecc_memory.cpp \
+  'NTC_TELEM_COUNT("ntc_ecc_corrected_words_total", 1);' \
+  '{}' \
+  telemetry_test 'TelemetryTest.PerWordAndBurstReadsCountTheSameEccWords'
+mutant "SharedMemory's per-word read stops counting double errors" \
+  src/multitile/shared_memory.cpp \
+  'NTC_TELEM_COUNT("ntc_ecc_uncorrectable_words_total", 1);' \
+  '{}' \
+  telemetry_test 'TelemetryTest.PerWordAndBurstReadsCountTheSameEccWords'
+
 # --- banked bursts and the arbiter replay -----------------------------
 mutant "a bank's burst run starts one offset late (per-word walk)" \
   src/multitile/banked_memory.cpp \

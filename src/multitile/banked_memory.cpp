@@ -25,7 +25,7 @@ std::uint32_t ilog2(std::uint32_t n) {
 
 BankedMemory::BankedMemory(BankedMemoryConfig config)
     : config_(std::move(config)), shift_(ilog2(config_.banks)) {
-  NTC_REQUIRE(is_power_of_two(config_.banks) && config_.banks <= 256);
+  NTC_REQUIRE(is_power_of_two(config_.banks));
   NTC_REQUIRE(config_.interleave_words >= 1);
   NTC_REQUIRE(config_.total_words %
                   (config_.banks * config_.interleave_words) ==
@@ -48,7 +48,7 @@ BankedMemory::BankedMemory(BankedMemoryConfig config)
   }
   bank_of_.resize(config_.total_words);
   for (std::uint32_t w = 0; w < config_.total_words; ++w)
-    bank_of_[w] = static_cast<std::uint8_t>(map(w).bank);
+    bank_of_[w] = map(w).bank;
   runs_.resize(config_.banks);
 }
 
@@ -88,10 +88,6 @@ void BankedMemory::plan_runs(std::uint32_t word, std::uint32_t count) {
 void BankedMemory::read_raw_burst(std::uint32_t word, std::uint64_t* out,
                                   std::uint32_t count) {
   NTC_REQUIRE(static_cast<std::uint64_t>(word) + count <= words());
-  if (config_.banks == 1) {
-    banks_[0]->read_raw_burst(word, out, count);
-    return;
-  }
   std::uint64_t staged[kBurstChunk];
   for (std::uint32_t off = 0; off < count; off += kBurstChunk) {
     const std::uint32_t m = std::min(count - off, kBurstChunk);
@@ -109,10 +105,6 @@ void BankedMemory::write_raw_burst(std::uint32_t word,
                                    const std::uint64_t* values,
                                    std::uint32_t count) {
   NTC_REQUIRE(static_cast<std::uint64_t>(word) + count <= words());
-  if (config_.banks == 1) {
-    banks_[0]->write_raw_burst(word, values, count);
-    return;
-  }
   std::uint64_t staged[kBurstChunk];
   for (std::uint32_t off = 0; off < count; off += kBurstChunk) {
     const std::uint32_t m = std::min(count - off, kBurstChunk);

@@ -51,7 +51,7 @@ struct BankAddress {
 
 struct BankedMemoryConfig {
   std::uint32_t total_words = 2048;
-  std::uint32_t banks = 1;             ///< power of two, at most 256
+  std::uint32_t banks = 1;             ///< power of two
   std::uint32_t interleave_words = 1;  ///< stripe granularity g (>= 1)
   std::uint32_t stored_bits = 32;      ///< 39 when any region carries SECDED
   energy::MemoryStyle style = energy::MemoryStyle::CellBasedImec40;
@@ -111,7 +111,7 @@ class BankedMemory {
   BankedMemoryConfig config_;
   std::uint32_t shift_ = 0;  ///< log2(banks)
   std::vector<std::unique_ptr<sim::SramModule>> banks_;
-  std::vector<std::uint8_t> bank_of_;  ///< per logical word
+  std::vector<std::uint32_t> bank_of_;  ///< per logical word
   std::vector<BankRun> runs_;          ///< per bank, scratch of the bursts
 };
 

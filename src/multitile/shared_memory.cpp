@@ -74,9 +74,11 @@ sim::AccessStatus SharedMemory::read_word(std::uint32_t word_index,
       ++region.stats.corrected_words;
       region.stats.corrected_bits +=
           static_cast<std::uint64_t>(result.corrected_bits);
+      NTC_TELEM_COUNT("ntc_ecc_corrected_words_total", 1);
       return sim::AccessStatus::CorrectedError;
     case ecc::DecodeStatus::DetectedUncorrectable:
       ++region.stats.uncorrectable_words;
+      NTC_TELEM_COUNT("ntc_ecc_uncorrectable_words_total", 1);
       return sim::AccessStatus::DetectedUncorrectable;
   }
   return sim::AccessStatus::Ok;

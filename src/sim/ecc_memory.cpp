@@ -50,9 +50,11 @@ AccessStatus EccMemory::read_word(std::uint32_t word_index, std::uint32_t& data)
     case ecc::DecodeStatus::Corrected:
       ++stats_.corrected_words;
       stats_.corrected_bits += static_cast<std::uint64_t>(result.corrected_bits);
+      NTC_TELEM_COUNT("ntc_ecc_corrected_words_total", 1);
       return AccessStatus::CorrectedError;
     case ecc::DecodeStatus::DetectedUncorrectable:
       ++stats_.uncorrectable_words;
+      NTC_TELEM_COUNT("ntc_ecc_uncorrectable_words_total", 1);
       return AccessStatus::DetectedUncorrectable;
   }
   return AccessStatus::Ok;

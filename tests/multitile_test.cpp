@@ -139,19 +139,21 @@ TEST(BankedBurst, MatchesThePerWordWalk) {
   // Twin memories at 0.30 V, same seed, same per-bank scripts (a read
   // burst, a stuck word and a transient flip armed on the bank's 300th
   // access): one moves every range of a window by raw bursts, the other
-  // word by word.  The window crosses the lines of every geometry here
-  // (M·g <= 32 words), so bursts start and end mid-line and mid-block.
+  // word by word.  The window crosses the lines of the 2- to 8-bank
+  // geometries (M·g <= 32 words), so bursts start and end mid-line and
+  // mid-block; one bank is a single run, and 512 banks (more than a
+  // byte can name) put the window inside one line.
   constexpr std::uint32_t kFirst = 20;
   constexpr std::uint32_t kSpan = 60;
   constexpr std::uint64_t kMask = (std::uint64_t{1} << 39) - 1;
   using faultsim::FaultEvent;
   using faultsim::ScenarioInjector;
-  for (const std::uint32_t banks : {2u, 4u, 8u}) {
+  for (const std::uint32_t banks : {1u, 2u, 4u, 8u, 512u}) {
     for (const std::uint32_t interleave : {1u, 4u}) {
       const std::string where = "banks=" + std::to_string(banks) +
                                 " g=" + std::to_string(interleave);
       multitile::BankedMemoryConfig config;
-      config.total_words = 256;
+      config.total_words = std::max(256u, banks * interleave);
       config.banks = banks;
       config.interleave_words = interleave;
       config.stored_bits = 39;

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -18,7 +19,11 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "ecc/hamming.hpp"
 #include "energy/memory_calculator.hpp"
+#include "mitigation/scheme.hpp"
+#include "multitile/shared_memory.hpp"
+#include "sim/ecc_memory.hpp"
 #include "sim/sram_module.hpp"
 #include "telemetry/build_info.hpp"
 #include "telemetry/exporters.hpp"
@@ -318,6 +323,89 @@ TEST_F(TelemetryTest, PerWordAndBurstAccessesCountTheSameFlips) {
   EXPECT_EQ(after_burst.second - after_walk.second, walk_writes);
   EXPECT_GT(walk_reads, 0u) << "0.30 V must flip reads";
   EXPECT_GT(walk_writes, 0u) << "0.30 V must flip writes";
+}
+
+TEST_F(TelemetryTest, PerWordAndBurstReadsCountTheSameEccWords) {
+  // Twin SECDED memories at 0.22 V, filled alike, one read word by word
+  // and one by bursts: the ECC counters must follow the decode stats
+  // whichever path a read takes, for EccMemory and the banked
+  // SharedMemory alike.
+  constexpr std::uint32_t kWords = 512;
+  const auto ecc_counters = [] {
+    return std::make_pair(
+        counter("ntc_ecc_corrected_words_total").value(),
+        counter("ntc_ecc_uncorrectable_words_total").value());
+  };
+  const auto make_ecc = [&] {
+    energy::MemoryCalculator calc(energy::MemoryStyle::CellBasedImec40,
+                                  energy::MemoryGeometry{kWords, 32});
+    return std::make_unique<sim::EccMemory>(
+        std::make_unique<sim::SramModule>("spm", kWords, 39,
+                                          calc.access_model(),
+                                          calc.retention_model(), Volt{0.22},
+                                          Rng(7)),
+        std::make_shared<ecc::HammingSecded>(32));
+  };
+  const auto make_shared = [] {
+    multitile::BankedMemoryConfig config;
+    config.total_words = kWords;
+    config.banks = 4;
+    config.stored_bits = 39;
+    config.vdd = Volt{0.22};
+    config.seed = 7;
+    return std::make_unique<multitile::SharedMemory>(
+        config, std::vector<mitigation::SchemeKind>{
+                    mitigation::SchemeKind::Secded,
+                    mitigation::SchemeKind::Secded});
+  };
+  std::vector<std::uint32_t> values(kWords);
+  for (std::uint32_t w = 0; w < kWords; ++w) values[w] = w * 0x9E3779B9u;
+  std::vector<std::uint32_t> out(kWords);
+
+  const auto check = [&](sim::MemoryPort& walk, sim::MemoryPort& burst,
+                         const auto& walk_stats, const char* what) {
+    const auto before = ecc_counters();
+    for (int pass = 0; pass < 4; ++pass) {
+      ASSERT_EQ(walk.write_burst(0, values), sim::AccessStatus::Ok);
+      for (std::uint32_t w = 0; w < kWords; ++w) walk.read_word(w, out[w]);
+    }
+    const auto after_walk = ecc_counters();
+    for (int pass = 0; pass < 4; ++pass) {
+      ASSERT_EQ(burst.write_burst(0, values), sim::AccessStatus::Ok);
+      burst.read_burst(0, out);
+    }
+    const auto after_burst = ecc_counters();
+    const sim::EccMemoryStats stats = walk_stats();
+    EXPECT_EQ(after_walk.first - before.first, stats.corrected_words) << what;
+    EXPECT_EQ(after_walk.second - before.second, stats.uncorrectable_words)
+        << what;
+    EXPECT_EQ(after_burst.first - after_walk.first,
+              after_walk.first - before.first)
+        << what;
+    EXPECT_EQ(after_burst.second - after_walk.second,
+              after_walk.second - before.second)
+        << what;
+    EXPECT_GT(stats.corrected_words, 0u) << what << ": 0.22 V must correct";
+    EXPECT_GT(stats.uncorrectable_words, 0u)
+        << what << ": 0.22 V must leave double errors";
+  };
+
+  const auto ecc_walk = make_ecc();
+  const auto ecc_burst = make_ecc();
+  check(*ecc_walk, *ecc_burst, [&] { return ecc_walk->stats(); }, "EccMemory");
+  const auto shared_walk = make_shared();
+  const auto shared_burst = make_shared();
+  check(*shared_walk, *shared_burst,
+        [&] {
+          sim::EccMemoryStats total;
+          for (std::size_t r = 0; r < shared_walk->region_count(); ++r) {
+            total.corrected_words += shared_walk->region(r).stats.corrected_words;
+            total.uncorrectable_words +=
+                shared_walk->region(r).stats.uncorrectable_words;
+          }
+          return total;
+        },
+        "SharedMemory");
 }
 #else
 TEST_F(TelemetryTest, MacrosCompileToNothingWhenSwitchedOff) {
