@@ -105,12 +105,12 @@ mutant "a bank's burst run starts one offset late (golden ledger)" \
 mutant "a tie goes to the later tile (modulo-scan reference)" \
   src/multitile/arbiter.cpp \
   'if (clock[t] < best) {' \
-  'if (clock[t] < best || (clock[t] == best && best != kDone)) {' \
+  'if (clock[t] <= best) {' \
   multitile_test 'Arbiter.EndEpochMatchesTheModuloScanReference'
 mutant "a tie goes to the later tile (golden ledger)" \
   src/multitile/arbiter.cpp \
   'if (clock[t] < best) {' \
-  'if (clock[t] < best || (clock[t] == best && best != kDone)) {' \
+  'if (clock[t] <= best) {' \
   faultsim_golden_ledger_test 'Grids/GoldenLedger.*TileMix4x4*'
 
 # --- the retention pass -----------------------------------------------

@@ -41,38 +41,35 @@ std::uint64_t Arbiter::pending_compute_max() const {
 
 std::uint64_t Arbiter::end_epoch() {
   const std::uint32_t tiles = config_.tiles;
-  // Per-tile replay clocks and stall totals, per-bank free times.  A
-  // tile whose requests are all granted has its clock parked at kDone,
-  // so the grant scan needs one compare per tile.
-  constexpr std::uint64_t kDone = ~std::uint64_t{0};
+  // Per-tile replay clocks and stall totals, per-bank free times.
   std::vector<std::size_t> next(tiles, 0);
   std::vector<std::uint64_t> clock(tiles, 0);
   std::vector<std::uint64_t> stall(tiles, 0);
   std::vector<std::uint64_t> free_at(config_.banks, 0);
-  for (std::uint32_t t = 0; t < tiles; ++t)
-    if (pending_[t].empty()) clock[t] = kDone;
+  std::size_t remaining = 0;
+  for (const auto& queue : pending_) remaining += queue.size();
 
-  for (;;) {
+  while (remaining > 0) {
     // Grant the tile whose next request is issued earliest; ties go to
     // the configured policy (rotating pointer or lowest tile id).
     // The scan starts at the pointer (0 under fixed priority) and wraps.
     std::uint32_t chosen = tiles;
-    std::uint64_t best = kDone;
+    std::uint64_t best = ~std::uint64_t{0};
     for (std::uint32_t i = 0, t = rr_; i < tiles; ++i, ++t) {
       if (t == tiles) t = 0;
+      if (next[t] >= pending_[t].size()) continue;
       if (clock[t] < best) {
         best = clock[t];
         chosen = t;
       }
     }
-    if (chosen == tiles) break;
-    const std::vector<Request>& queue = pending_[chosen];
-    const Request& rq = queue[next[chosen]++];
-    const std::uint64_t start = std::max(best, free_at[rq.bank]);
-    stall[chosen] += start - best;
+    const Request& rq = pending_[chosen][next[chosen]++];
+    --remaining;
+    const std::uint64_t start = std::max(clock[chosen], free_at[rq.bank]);
+    stall[chosen] += start - clock[chosen];
     const std::uint64_t service = rq.beats + config_.arbitration_latency;
-    free_at[rq.bank] = start + service;
-    clock[chosen] = next[chosen] < queue.size() ? start + service : kDone;
+    clock[chosen] = start + service;
+    free_at[rq.bank] = clock[chosen];
     bank_busy_[rq.bank] += service;
     ++stats_.requests;
     stats_.beats += rq.beats;
