@@ -94,13 +94,13 @@ mutant "SharedMemory's per-word read stops counting double errors" \
 # --- banked bursts and the arbiter replay -----------------------------
 mutant "a bank's burst run starts one offset late (per-word walk)" \
   src/multitile/banked_memory.cpp \
-  'if (run.count++ == 0) run.first = map(w).offset;' \
-  'if (run.count++ == 0) run.first = map(w).offset + 1;' \
+  'run.first = map(w).offset;' \
+  'run.first = map(w).offset + 1;' \
   multitile_test 'BankedBurst.MatchesThePerWordWalk'
 mutant "a bank's burst run starts one offset late (golden ledger)" \
   src/multitile/banked_memory.cpp \
-  'if (run.count++ == 0) run.first = map(w).offset;' \
-  'if (run.count++ == 0) run.first = map(w).offset + 1;' \
+  'run.first = map(w).offset;' \
+  'run.first = map(w).offset + 1;' \
   faultsim_golden_ledger_test 'Grids/GoldenLedger.*TileMix4x4*'
 mutant "a tie goes to the later tile (modulo-scan reference)" \
   src/multitile/arbiter.cpp \

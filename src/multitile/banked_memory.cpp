@@ -50,6 +50,7 @@ BankedMemory::BankedMemory(BankedMemoryConfig config)
   for (std::uint32_t w = 0; w < config_.total_words; ++w)
     bank_of_[w] = map(w).bank;
   runs_.resize(config_.banks);
+  touched_.reserve(std::min(config_.banks, kBurstChunk));
 }
 
 BankAddress BankedMemory::map(std::uint32_t word) const {
@@ -73,15 +74,20 @@ void BankedMemory::write_raw(std::uint32_t word, std::uint64_t value) {
 }
 
 void BankedMemory::plan_runs(std::uint32_t word, std::uint32_t count) {
-  for (BankRun& run : runs_) run.count = 0;
+  for (const std::uint32_t b : touched_) runs_[b].count = 0;
+  touched_.clear();
   for (std::uint32_t w = word; w < word + count; ++w) {
-    BankRun& run = runs_[bank_of_[w]];
-    if (run.count++ == 0) run.first = map(w).offset;
+    const std::uint32_t b = bank_of_[w];
+    BankRun& run = runs_[b];
+    if (run.count++ == 0) {
+      run.first = map(w).offset;
+      touched_.push_back(b);
+    }
   }
   std::uint32_t start = 0;
-  for (BankRun& run : runs_) {
-    run.start = start;
-    start += run.count;
+  for (const std::uint32_t b : touched_) {
+    runs_[b].start = start;
+    start += runs_[b].count;
   }
 }
 
@@ -92,7 +98,7 @@ void BankedMemory::read_raw_burst(std::uint32_t word, std::uint64_t* out,
   for (std::uint32_t off = 0; off < count; off += kBurstChunk) {
     const std::uint32_t m = std::min(count - off, kBurstChunk);
     plan_runs(word + off, m);
-    for (std::uint32_t b = 0; b < config_.banks; ++b)
+    for (const std::uint32_t b : touched_)
       banks_[b]->read_raw_burst(runs_[b].first, staged + runs_[b].start,
                                 runs_[b].count);
     // Bank b's k-th word in logical order is its burst's k-th word.
@@ -111,7 +117,7 @@ void BankedMemory::write_raw_burst(std::uint32_t word,
     plan_runs(word + off, m);
     for (std::uint32_t i = 0; i < m; ++i)
       staged[runs_[bank_of_[word + off + i]].start++] = values[off + i];
-    for (std::uint32_t b = 0; b < config_.banks; ++b)
+    for (const std::uint32_t b : touched_)
       banks_[b]->write_raw_burst(runs_[b].first,
                                  staged + runs_[b].start - runs_[b].count,
                                  runs_[b].count);

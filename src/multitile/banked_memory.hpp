@@ -16,13 +16,14 @@
 // and q), and M = 1 degenerates to the identity, which is what makes a
 // 1-bank shared memory byte-identical to the classic flat scratchpad.
 //
-// Raw bursts issue one SramModule burst per bank.  Line q (M·g words)
-// gives every bank exactly the offsets [q·g, (q+1)·g), so the words of
-// any logical range that fall in one bank hold consecutive offsets, in
-// ascending logical order: the per-word walk visits each bank as one
-// ascending, contiguous run.  Banks share no fault state (each has its
-// own stream, counters and injector chain), so only the order within a
-// bank is observable, and a burst per bank replays the walk exactly.
+// Raw bursts issue one SramModule burst per bank they touch.  Line q
+// (M·g words) gives every bank exactly the offsets [q·g, (q+1)·g), so
+// the words of any logical range that fall in one bank hold
+// consecutive offsets, in ascending logical order: the per-word walk
+// visits each bank as one ascending, contiguous run.  Banks share no
+// fault state (each has its own stream, counters and injector chain),
+// so only the order within a bank is observable, and a burst per bank
+// replays the walk exactly.
 //
 // Bank b draws the scratchpad stream of the salt map in
 // sim/fault_draw.hpp with index b, so bank 0 draws exactly the classic
@@ -105,7 +106,9 @@ class BankedMemory {
     std::uint32_t count = 0;
     std::uint32_t start = 0;
   };
-  /// Fill runs_ for logical words [word, word + count).
+  /// Fill runs_ for logical words [word, word + count) and list the
+  /// banks they touch in touched_, so a burst costs its words, not the
+  /// bank count.
   void plan_runs(std::uint32_t word, std::uint32_t count);
 
   BankedMemoryConfig config_;
@@ -113,6 +116,7 @@ class BankedMemory {
   std::vector<std::unique_ptr<sim::SramModule>> banks_;
   std::vector<std::uint32_t> bank_of_;  ///< per logical word
   std::vector<BankRun> runs_;          ///< per bank, scratch of the bursts
+  std::vector<std::uint32_t> touched_;  ///< banks with a run, first touch first
 };
 
 }  // namespace ntc::multitile
